@@ -18,6 +18,7 @@ import numpy as np
 
 from . import theory
 from .graph import GraphSpec
+from .spectral import _bisect
 from .subspace import reduced_hamiltonian, reduced_initial_state
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -43,6 +44,15 @@ class TimeSeries:
     stage_boundaries: tuple[float, ...]
 
 
+def _contract(lam: np.ndarray, vecs: np.ndarray, coeff: np.ndarray, tau):
+    """``vecs @ (exp(-i lam tau) * coeff)``: eigenbasis coefficients evolved
+    for time tau and mapped back through the eigenvector rows ``vecs`` (all
+    of them, or only the rows a caller needs).  For a 1-D array of times,
+    pass ``lam`` and ``coeff`` as columns; the result gains a trailing time
+    axis."""
+    return vecs @ (np.exp(-1j * lam * tau) * coeff)
+
+
 def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
     """Propagate a state for time t under a constant symmetric generator."""
     hamiltonian = np.asarray(hamiltonian)
@@ -52,7 +62,7 @@ def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
     if psi.shape != (hamiltonian.shape[0],):
         raise ValueError("state dimension does not match hamiltonian")
     lam, vecs = np.linalg.eigh(hamiltonian)
-    return vecs @ (np.exp(-1j * lam * t) * (vecs.T @ psi))
+    return _contract(lam, vecs, vecs.T @ psi, t)
 
 
 def two_stage_schedule(spec: GraphSpec) -> list[Stage]:
@@ -75,61 +85,39 @@ def _validate_schedule(schedule: Schedule) -> list[Stage]:
 
 class _Propagator:
     """Eigendecompositions and stage-start states for one schedule, so the
-    state at an arbitrary global time costs one 7-vector contraction."""
+    amplitudes at a batch of global times cost one contraction per stage."""
 
     def __init__(self, spec: GraphSpec, schedule: Schedule):
         self.stages = _validate_schedule(schedule)
         self.boundaries = np.concatenate(
             [[0.0], np.cumsum([s.duration for s in self.stages])]
         )
-        self._lams = []
-        self._vecs = []
-        self._coeffs = []
+        self._spectra = []
         psi = reduced_initial_state(spec)
         for stage in self.stages:
             lam, vecs = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
             coeff = vecs.T @ psi
-            self._lams.append(lam)
-            self._vecs.append(vecs)
-            self._coeffs.append(coeff)
-            psi = vecs @ (np.exp(-1j * lam * stage.duration) * coeff)
+            self._spectra.append((lam, vecs, coeff))
+            psi = _contract(lam, vecs, coeff, stage.duration)
 
-    @property
-    def total_duration(self) -> float:
-        return float(self.boundaries[-1])
-
-    def _locate(self, t: float) -> tuple[int, float]:
-        idx = int(np.searchsorted(self.boundaries, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.stages) - 1)
-        return idx, t - self.boundaries[idx]
-
-    def state(self, t: float) -> np.ndarray:
-        idx, tau = self._locate(t)
-        lam, vecs, coeff = self._lams[idx], self._vecs[idx], self._coeffs[idx]
-        return vecs @ (np.exp(-1j * lam * tau) * coeff)
-
-    def prob(self, component: int, t: float) -> float:
-        idx, tau = self._locate(t)
-        lam, vecs, coeff = self._lams[idx], self._vecs[idx], self._coeffs[idx]
-        return float(np.abs(vecs[component] @ (np.exp(-1j * lam * tau) * coeff)) ** 2)
-
-    def prob_grid(self, component: int, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`prob` over sorted global times."""
-        out = np.empty(times.shape)
-        idx = np.clip(
-            np.searchsorted(self.boundaries, times, side="right") - 1,
-            0,
-            len(self.stages) - 1,
+    def amplitudes(self, times, rows):
+        """Amplitudes of the state components ``rows`` (an index or a slice)
+        at a scalar global time, shaped like ``vecs[rows]``, or at a sorted
+        1-D array of times, with a trailing time axis.  A time on a stage
+        boundary belongs to the later stage; times outside the schedule
+        extend the first or last stage."""
+        inner = self.boundaries[1:-1]
+        if np.ndim(times) == 0:
+            k = int(np.searchsorted(inner, times, side="right"))
+            lam, vecs, coeff = self._spectra[k]
+            return _contract(lam, vecs[rows], coeff, times - self.boundaries[k])
+        pieces = zip(self._spectra, np.split(times, np.searchsorted(times, inner)),
+                     self.boundaries)
+        return np.concatenate(
+            [_contract(lam[:, None], vecs[rows], coeff[:, None], tau - start)
+             for (lam, vecs, coeff), tau, start in pieces],
+            axis=-1,
         )
-        for k in range(len(self.stages)):
-            sel = idx == k
-            if not np.any(sel):
-                continue
-            tau = times[sel] - self.boundaries[k]
-            phases = np.exp(-1j * np.outer(self._lams[k], tau))
-            amps = self._vecs[k][component] @ (phases * self._coeffs[k][:, None])
-            out[sel] = np.abs(amps) ** 2
-        return out
 
 
 def run_schedule(
@@ -148,17 +136,25 @@ def run_schedule(
         times.extend(start + stage.duration * np.arange(1, samples_per_stage + 1)
                      / samples_per_stage)
     times = np.asarray(times)
-    states = np.stack([prop.state(t) for t in times])
+    amps = prop.amplitudes(times, slice(None))
     return TimeSeries(
         times=times,
-        prob_a=np.abs(states[:, 0]) ** 2,
-        prob_b=np.abs(states[:, 1]) ** 2,
-        norm=np.linalg.norm(states, axis=1),
+        prob_a=np.abs(amps[0]) ** 2,
+        prob_b=np.abs(amps[1]) ** 2,
+        norm=np.linalg.norm(amps, axis=0),
         stage_boundaries=tuple(float(b) for b in prop.boundaries[1:]),
     )
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
+def _grid_max(f, times: np.ndarray, xtol: float) -> tuple[float, float]:
+    """Maximum of f, which takes a scalar or an array of times: the best
+    point of the sorted grid ``times``, refined by golden-section search
+    between its neighbours to xtol.  The grid point is kept when the
+    refinement ends lower."""
+    values = f(times)
+    i = int(np.argmax(values))
+    lo = times[max(i - 1, 0)]
+    hi = times[min(i + 1, len(times) - 1)]
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -172,7 +168,10 @@ def _golden_max(f, lo: float, hi: float, xtol: float) -> tuple[float, float]:
             x1 = hi - _INV_PHI * (hi - lo)
             f1 = f(x1)
     mid = 0.5 * (lo + hi)
-    return mid, f(mid)
+    f_mid = f(mid)
+    if values[i] > f_mid:
+        return float(times[i]), float(values[i])
+    return float(mid), float(f_mid)
 
 
 def peak_success(
@@ -188,20 +187,11 @@ def peak_success(
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     prop = _Propagator(spec, schedule)
-    total = prop.total_duration
-    if total == 0.0:
-        return 0.0, prop.prob(0, 0.0)
+    total = prop.boundaries[-1]
     times = np.unique(
         np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
     )
-    probs = prop.prob_grid(0, times)
-    i = int(np.argmax(probs))
-    lo = times[max(i - 1, 0)]
-    hi = times[min(i + 1, len(times) - 1)]
-    t_peak, p_peak = _golden_max(lambda t: prop.prob(0, t), lo, hi, 1e-6 * total)
-    if probs[i] > p_peak:
-        t_peak, p_peak = float(times[i]), float(probs[i])
-    return t_peak, p_peak
+    return _grid_max(lambda t: np.abs(prop.amplitudes(t, 0)) ** 2, times, 1e-6 * total)
 
 
 def width_scan(
@@ -245,13 +235,7 @@ def stage_half_width(spec: GraphSpec, stage: int) -> float:
         hi *= 1.5
         if hi > 10.0 / math.sqrt(spec.M):
             raise RuntimeError("no halving detuning found below 10/sqrt(M)")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if peak(mid) > baseline / 2:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda eps: peak(eps) - baseline / 2, lo, hi, 1e-10)
 
 
 def optimal_stage1_duration(
@@ -265,16 +249,8 @@ def optimal_stage1_duration(
     closed form drops.
     """
     pred = theory.predict(spec)
-    lam, vecs = np.linalg.eigh(reduced_hamiltonian(spec, pred.gamma_c1))
-    coeff = vecs.T @ reduced_initial_state(spec)
+    prop = _Propagator(spec, [Stage(pred.gamma_c1, window * pred.t1)])
     times = np.linspace(0.0, window * pred.t1, grid_points)
-    amps = vecs[1] @ (np.exp(-1j * np.outer(lam, times)) * coeff[:, None])
-    probs = np.abs(amps) ** 2
-    i = int(np.argmax(probs))
-
-    def prob_b(t: float) -> float:
-        return float(np.abs(vecs[1] @ (np.exp(-1j * lam * t) * coeff)) ** 2)
-
-    lo = times[max(i - 1, 0)]
-    hi = times[min(i + 1, len(times) - 1)]
-    return _golden_max(prob_b, lo, hi, 1e-9 * pred.t1)
+    return _grid_max(
+        lambda t: np.abs(prop.amplitudes(t, 1)) ** 2, times, 1e-9 * pred.t1
+    )

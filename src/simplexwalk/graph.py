@@ -24,6 +24,7 @@ cost grows as M^4 in memory and M^6 in eigensolve time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -52,7 +53,7 @@ CENSUS_KEYS = (
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Cluster size M (>= 3) and inter-cluster edge weight w (> 0)."""
+    """Cluster size M (>= 3) and finite inter-cluster edge weight w (> 0)."""
 
     M: int
     w: float
@@ -60,8 +61,8 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.M, int) or self.M < 3:
             raise ValueError("M must be an integer >= 3")
-        if not self.w > 0:
-            raise ValueError("w must be > 0")
+        if not (self.w > 0 and math.isfinite(self.w)):
+            raise ValueError("w must be finite and > 0")
 
     @property
     def n_vertices(self) -> int:
@@ -93,10 +94,6 @@ class VertexId:
             raise ValueError(f"index {idx} out of range for M={M}")
         cluster, rest = divmod(idx, M)
         return cls(cluster, rest if rest < cluster else rest + 1)
-
-    def partner(self) -> "VertexId":
-        """The vertex on the other end of this vertex's weight-w edge."""
-        return VertexId(self.port, self.cluster)
 
 
 #: Canonical marked vertex.  Vertex-transitivity makes the choice irrelevant;

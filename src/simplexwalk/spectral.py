@@ -32,29 +32,37 @@ class Spectrum(NamedTuple):
 
 
 def eigh(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of an exactly-symmetric real matrix.
+    """Eigendecomposition of an exactly-symmetric real matrix, or of each
+    matrix in a stack of shape (..., n, n).
 
     Output is deterministic: each eigenvector is flipped so its
-    largest-magnitude component (lowest index on ties) is positive.
+    largest-magnitude component (lowest index on ties) is positive.  For a
+    stack, ``values`` has shape (..., n) and ``vectors`` (..., n, n), and each
+    slice equals the decomposition of that matrix alone.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(matrix, matrix.T):
+    if not (matrix == matrix.swapaxes(-1, -2)).all():
         raise ValueError("matrix must be symmetric")
     values, vectors = np.linalg.eigh(matrix)
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    n = vectors.shape[-1]
+    columns = vectors.swapaxes(-1, -2).reshape(-1, n)
+    lead = columns[np.arange(len(columns)), np.argmax(np.abs(columns), axis=1)]
+    signs = np.sign(lead).reshape(vectors.shape[:-2] + (1, n))
     signs[signs == 0] = 1.0
     return Spectrum(values=values, vectors=vectors * signs)
 
 
 def overlaps(spectrum: Spectrum, probe: np.ndarray) -> np.ndarray:
-    """Squared overlaps |<eigenvector_k | probe>|^2; they sum to 1 for a unit probe."""
+    """Squared overlaps |<eigenvector_k | probe>|^2; they sum to 1 for a unit probe.
+
+    A stacked spectrum of shape (..., n, n) gives overlaps of shape (..., n).
+    """
     probe = np.asarray(probe)
-    if probe.shape != (spectrum.vectors.shape[0],):
+    if probe.shape != (spectrum.vectors.shape[-2],):
         raise ValueError("probe has wrong dimension")
-    return np.abs(spectrum.vectors.T @ probe) ** 2
+    return np.abs(spectrum.vectors.swapaxes(-1, -2) @ probe) ** 2
 
 
 def probe_state(spec: GraphSpec, tag: str) -> np.ndarray:
@@ -92,13 +100,29 @@ def gamma_sweep(
     if points < 2:
         raise ValueError("points must be >= 2")
     gammas = np.linspace(lo, hi, points)
-    probes = {tag: probe_state(spec, tag) for tag in PROBE_TAGS}
-    curves = {tag: np.empty((points, 7)) for tag in PROBE_TAGS}
-    for i, gamma in enumerate(gammas):
-        spectrum = eigh(reduced_hamiltonian(spec, gamma))
-        for tag, probe in probes.items():
-            curves[tag][i] = overlaps(spectrum, probe)
+    spectra = eigh(np.stack([reduced_hamiltonian(spec, gamma) for gamma in gammas]))
+    curves = {tag: overlaps(spectra, probe_state(spec, tag)) for tag in PROBE_TAGS}
     return SweepResult(spec=spec, gammas=gammas, curves=curves)
+
+
+def _bisect(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Root of f on a bracket where f(lo) > 0 >= f(hi), by bisection until
+    hi - lo <= rel_tol * hi or the bracket reaches float resolution.
+
+    The caller orients f; neither endpoint is evaluated here.
+    """
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def find_crossing(
@@ -131,17 +155,8 @@ def find_crossing(
             f"no overlap crossing for probe {probe!r} between eigenstates "
             f"{j} and {k} in [{lo:g}, {hi:g}]"
         )
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    gamma_star = 0.5 * (lo + hi)
+    sign = 1.0 if f_lo > 0 else -1.0
+    gamma_star = _bisect(lambda gamma: sign * diff(gamma), lo, hi, rel_tol)
     if spec.M >= 100:
         ov = overlaps(eigh(reduced_hamiltonian(spec, gamma_star)), probe_vec)
         if abs(ov[j] - 0.5) > 0.1 or abs(ov[k] - 0.5) > 0.1:

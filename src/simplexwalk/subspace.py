@@ -102,12 +102,12 @@ def reduced_initial_state(spec: GraphSpec) -> np.ndarray:
     M = spec.M
     s1 = np.sqrt(M - 1.0)
     amps = np.array([1.0, s1, 1.0, s1, s1, s1, np.sqrt((M - 1.0) * (M - 2.0))])
-    return (amps / np.sqrt(spec.n_vertices)).astype(complex)
+    return (amps / np.sqrt(float(spec.n_vertices))).astype(complex)
 
 
 def full_initial_state(spec: GraphSpec) -> np.ndarray:
     n = spec.n_vertices
-    return np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    return np.full(n, 1.0 / np.sqrt(float(n)), dtype=complex)
 
 
 def full_hamiltonian(

@@ -44,9 +44,11 @@ def test_predict_rejects_small_m(capsys):
 
 
 def test_predict_rejects_nonpositive_w(capsys):
-    code, _, err = _run(capsys, "predict", "--M", "10", "--w", "0")
-    assert code == 2
-    assert "w must be" in err
+    for command, w in (("predict", "0"), ("predict", "inf"), ("evolve", "inf")):
+        code, out, err = _run(capsys, command, "--M", "10", "--w", w)
+        assert code == 2
+        assert out == ""
+        assert "w must be" in err
 
 
 def test_sweep_csv_schema(capsys):

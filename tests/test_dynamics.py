@@ -12,6 +12,7 @@ from simplexwalk import (
     reduced_hamiltonian,
     reduced_initial_state,
     run_schedule,
+    stage_half_width,
     two_stage_schedule,
     width_scan,
 )
@@ -95,6 +96,27 @@ def test_detuned_single_stage_never_builds_success():
     assert np.max(series.prob_a) < 0.01
 
 
+def test_run_schedule_matches_chained_evolve():
+    spec = GraphSpec(200, 2.0)
+    schedule = two_stage_schedule(spec)
+    samples = 40
+    series = run_schedule(spec, schedule, samples_per_stage=samples)
+    psi = reduced_initial_state(spec)
+    expected = [psi]
+    for gamma, duration in schedule:
+        ham = reduced_hamiltonian(spec, gamma)
+        # a sample on a stage boundary belongs to the later stage, at tau = 0
+        expected[-1] = evolve(ham, psi, 0.0)
+        for n in range(1, samples + 1):
+            expected.append(evolve(ham, psi, duration * n / samples))
+        psi = evolve(ham, psi, duration)
+    expected = np.array(expected)
+    assert len(series.times) == len(expected)
+    assert np.max(np.abs(series.prob_a - np.abs(expected[:, 0]) ** 2)) <= 1e-12
+    assert np.max(np.abs(series.prob_b - np.abs(expected[:, 1]) ** 2)) <= 1e-12
+    assert np.max(np.abs(series.norm - np.linalg.norm(expected, axis=1))) <= 1e-12
+
+
 def test_run_schedule_rejects_bad_schedules():
     spec = GraphSpec(5, 1.0)
     with pytest.raises(ValueError):
@@ -166,3 +188,12 @@ def test_optimal_stage1_duration_ratio():
     assert pb_w1 > 0.9 and pb_w3 > 0.9
     assert t_w1 / t_w3 == pytest.approx(2.0, rel=0.05)
     assert t_w1 == pytest.approx(np.pi * 1000**1.5 / 4, rel=0.01)
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stage_half_width_brackets_half_the_baseline(stage):
+    spec = GraphSpec(500, 1.0)
+    eps = stage_half_width(spec, stage)
+    _, baseline = peak_success(spec, two_stage_schedule(spec))
+    _, (inner, outer) = width_scan(spec, stage, [eps * (1 - 1e-6), eps * (1 + 1e-6)])
+    assert inner > baseline / 2 > outer

@@ -26,6 +26,8 @@ def test_spec_validation():
         GraphSpec(5, 0.0)
     with pytest.raises(ValueError):
         GraphSpec(5, -2.0)
+    with pytest.raises(ValueError):
+        GraphSpec(5, float("inf"))
     assert GraphSpec(3, 2.5).n_vertices == 12
 
 

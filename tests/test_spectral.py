@@ -36,6 +36,23 @@ def test_eigh_reconstruction_and_determinism():
     assert np.array_equal(s1.vectors, s2.vectors)
 
 
+def test_eigh_stack_matches_each_slice_exactly():
+    spec = GraphSpec(50, 2.0)
+    stack = np.stack([reduced_hamiltonian(spec, g) for g in (0.01, 0.03, 0.06, 0.2)])
+    batched = eigh(stack)
+    assert batched.values.shape == (4, 7) and batched.vectors.shape == (4, 7, 7)
+    for k, matrix in enumerate(stack):
+        single = eigh(matrix)
+        assert np.array_equal(batched.values[k], single.values)
+        assert np.array_equal(batched.vectors[k], single.vectors)
+    with pytest.raises(ValueError):
+        eigh(stack[:, :, :6])
+    skewed = stack.copy()
+    skewed[2, 0, 1] += 1e-14
+    with pytest.raises(ValueError):
+        eigh(skewed)
+
+
 def test_eigh_sign_convention():
     spectrum = eigh(reduced_hamiltonian(GraphSpec(12, 1.5), 0.1))
     for k in range(7):
@@ -118,6 +135,17 @@ def test_sweep_grid_and_completeness():
         assert np.allclose(result.curves[tag].sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_sweep_equals_per_gamma_loop():
+    spec = GraphSpec(1000, 3.0)
+    result = gamma_sweep(spec, (0.0005, 0.003), 200)
+    for tag in ("s", "a", "b"):
+        probe = probe_state(spec, tag)
+        loop = np.array(
+            [overlaps(eigh(reduced_hamiltonian(spec, g)), probe) for g in result.gammas]
+        )
+        assert np.array_equal(result.curves[tag], loop)
+
+
 def _grid_crossing(result, tag, pair):
     diff = result.curves[tag][:, pair[0]] - result.curves[tag][:, pair[1]]
     (idx,) = np.nonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
@@ -147,6 +175,9 @@ def test_sweep_rejects_bad_range():
 def test_find_crossing_stage1():
     gamma = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025))
     assert gamma == pytest.approx(0.002, rel=0.05)
+    # a tolerance below float resolution stops there instead of looping
+    finest = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025), 0.0)
+    assert finest == pytest.approx(gamma, rel=1e-9)
 
 
 def test_find_crossing_stage1_w3():

@@ -55,7 +55,7 @@ def test_initial_state_m3():
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("M", [3, 7, 50, 1000])
+@pytest.mark.parametrize("M", [3, 7, 50, 1000, 5_000_000_000])
 def test_initial_state_norm(M):
     assert np.linalg.norm(reduced_initial_state(GraphSpec(M, 1.0))) == pytest.approx(
         1.0, abs=1e-14
