@@ -7,7 +7,9 @@ atomically (temp file + rename); without --out, output goes to stdout.  The
 SIMPLEXWALK_OUTDIR environment variable, when set, is prepended to relative
 --out paths.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.
+Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is
+either a rule of the CLI itself or an input that the library refuses with a
+ValueError; its message is printed as "error: <message>".
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ def _json_value(x):
     return float(_fmt(float(x)))
 
 
-def _graph_spec(args: argparse.Namespace) -> graph.GraphSpec:
-    try:
-        return graph.GraphSpec(M=args.M, w=getattr(args, "w", 1.0))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
@@ -77,8 +72,16 @@ def _json_doc(payload: dict) -> str:
     return json.dumps({k: _json_value(v) for k, v in payload.items()}, indent=2) + "\n"
 
 
+def _csv_doc(comments: list[str], header: str, columns) -> str:
+    """Comment lines, the header, then one row of ``_fmt`` cells per row of
+    the columns (1-D arrays, or 2-D blocks of adjacent columns)."""
+    rows = np.column_stack(columns).tolist()
+    row_fmt = ",".join(["%.12g"] * len(rows[0]))
+    return "\n".join(comments + [header] + [row_fmt % tuple(row) for row in rows]) + "\n"
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
+    spec = graph.GraphSpec(args.M, args.w)
     payload: dict = {"M": spec.M, "w": spec.w}
     payload.update(theory.predict(spec).to_dict())
     payload["validity_margin"] = theory.validity_margin(spec)
@@ -87,23 +90,14 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
-    if not 0 < args.lo < args.hi:
-        raise UsageError("gamma range must satisfy 0 < lo < hi")
-    if args.points < 2:
-        raise UsageError("points must be >= 2")
+    spec = graph.GraphSpec(args.M, args.w)
     result = spectral.gamma_sweep(spec, (args.lo, args.hi), args.points)
-    lines = [
-        f"# simplexwalk {__version__} sweep M={spec.M} w={_fmt(spec.w)} "
-        f"lo={_fmt(args.lo)} hi={_fmt(args.hi)} points={args.points}",
+    _write_output(args, _csv_doc(
+        [f"# simplexwalk {__version__} sweep M={spec.M} w={_fmt(spec.w)} "
+         f"lo={_fmt(args.lo)} hi={_fmt(args.hi)} points={args.points}"],
         "gamma," + ",".join(f"{tag}_{k}" for tag in spectral.PROBE_TAGS for k in range(7)),
-    ]
-    for i, gamma in enumerate(result.gammas):
-        row = [_fmt(gamma)]
-        for tag in spectral.PROBE_TAGS:
-            row.extend(_fmt(v) for v in result.curves[tag][i])
-        lines.append(",".join(row))
-    _write_output(args, "\n".join(lines) + "\n")
+        [result.gammas] + [result.curves[tag] for tag in spectral.PROBE_TAGS],
+    ))
     return 0
 
 
@@ -113,49 +107,36 @@ def _schedule_from_args(args: argparse.Namespace, spec: graph.GraphSpec) -> list
     gamma2 = pred.gamma_c2 if args.gamma2 is None else args.gamma2
     t1 = pred.t1 if args.t1 is None else args.t1
     t2 = pred.t2 if args.t2 is None else args.t2
-    if t1 < 0 or t2 < 0:
-        raise UsageError("stage durations must be >= 0")
-    if gamma1 <= 0 or gamma2 <= 0:
-        raise UsageError("stage gammas must be > 0")
     return [Stage(gamma1, t1), Stage(gamma2, t2)]
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
-    if args.samples < 1:
-        raise UsageError("samples must be >= 1")
+    spec = graph.GraphSpec(args.M, args.w)
     schedule = _schedule_from_args(args, spec)
     series = dynamics.run_schedule(spec, schedule, samples_per_stage=args.samples)
     stage_desc = " ".join(
         f"gamma_{k+1}={_fmt(s.gamma)} t_{k+1}={_fmt(s.duration)}"
         for k, s in enumerate(schedule)
     )
-    lines = [
-        f"# simplexwalk {__version__} evolve M={spec.M} w={_fmt(spec.w)} "
-        f"samples={args.samples}",
-        f"# stages: {stage_desc}",
-        "# stage_end_times: " + ",".join(_fmt(b) for b in series.stage_boundaries),
+    _write_output(args, _csv_doc(
+        [f"# simplexwalk {__version__} evolve M={spec.M} w={_fmt(spec.w)} "
+         f"samples={args.samples}",
+         f"# stages: {stage_desc}",
+         "# stage_end_times: " + ",".join(_fmt(b) for b in series.stage_boundaries)],
         "t,prob_a,prob_b,norm",
-    ]
-    for i, t in enumerate(series.times):
-        lines.append(
-            f"{_fmt(t)},{_fmt(series.prob_a[i])},{_fmt(series.prob_b[i])},"
-            f"{_fmt(series.norm[i])}"
-        )
-    _write_output(args, "\n".join(lines) + "\n")
+        [series.times, series.prob_a, series.prob_b, series.norm],
+    ))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
+    spec = graph.GraphSpec(args.M, args.w)
     if spec.M > 30:
         raise UsageError(
             "verify builds the full vertex space and is limited to M <= 30 "
             f"(N <= 930); got M={spec.M}"
         )
     gamma = args.gamma if args.gamma is not None else theory.predict(spec).gamma_c1
-    if gamma <= 0:
-        raise UsageError("gamma must be > 0")
 
     basis = subspace.class_basis(spec)
     ham_full = subspace.full_hamiltonian(spec, gamma)
@@ -203,8 +184,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    if args.M < 3:
-        raise UsageError("M must be an integer >= 3")
     counts = theory.census_formulas(args.M)
     lines = [
         f"# simplexwalk {__version__} census M={args.M}",
@@ -217,7 +196,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
+    spec = graph.GraphSpec(args.M, args.w)
     adj = graph.build_adjacency(spec)
     lam_max = float(np.linalg.eigvalsh(adj)[-1])
     lam1 = float(np.linalg.eigvalsh(graph.laplacian(adj))[1])
@@ -236,9 +215,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 
 
 def cmd_width(args: argparse.Namespace) -> int:
-    spec = _graph_spec(args)
-    if args.stage not in (1, 2):
-        raise UsageError("stage must be 1 or 2")
+    spec = graph.GraphSpec(args.M, args.w)
     if args.offsets < 3 or args.offsets % 2 == 0:
         raise UsageError("offsets must be an odd integer >= 3")
     pred = theory.predict(spec)
@@ -256,14 +233,12 @@ def cmd_width(args: argparse.Namespace) -> int:
     positive = np.logspace(np.log10(lo), np.log10(hi), per_side)
     eps_grid = np.concatenate([-positive[::-1], [0.0], positive])
     offsets, peaks = dynamics.width_scan(spec, args.stage, eps_grid)
-    lines = [
-        f"# simplexwalk {__version__} width M={spec.M} w={_fmt(spec.w)} "
-        f"stage={args.stage} gamma_c={_fmt(gamma_c)} offsets={args.offsets}",
+    _write_output(args, _csv_doc(
+        [f"# simplexwalk {__version__} width M={spec.M} w={_fmt(spec.w)} "
+         f"stage={args.stage} gamma_c={_fmt(gamma_c)} offsets={args.offsets}"],
         "epsilon,p_peak",
-    ]
-    for eps, peak in zip(offsets, peaks):
-        lines.append(f"{_fmt(eps)},{_fmt(peak)}")
-    _write_output(args, "\n".join(lines) + "\n")
+        [offsets, peaks],
+    ))
     return 0
 
 
@@ -337,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CheckFailure as exc:

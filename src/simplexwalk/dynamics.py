@@ -61,6 +61,8 @@ def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (hamiltonian.shape[0],):
         raise ValueError("state dimension does not match hamiltonian")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     lam, vecs = np.linalg.eigh(hamiltonian)
     return _contract(lam, vecs, vecs.T @ psi, t)
 
@@ -75,11 +77,10 @@ def _validate_schedule(schedule: Schedule) -> list[Stage]:
     stages = [Stage(float(g), float(d)) for g, d in schedule]
     if not stages:
         raise ValueError("schedule must contain at least one stage")
-    for stage in stages:
-        if not stage.gamma > 0:
-            raise ValueError("stage gamma must be > 0")
-        if stage.duration < 0:
-            raise ValueError("stage duration must be >= 0")
+    if not all(math.isfinite(s.duration) and s.duration >= 0 for s in stages):
+        raise ValueError("stage durations must be finite and >= 0")
+    if not all(math.isfinite(s.gamma) and s.gamma > 0 for s in stages):
+        raise ValueError("stage gammas must be finite and > 0")
     return stages
 
 

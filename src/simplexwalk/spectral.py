@@ -9,6 +9,7 @@ eigenvalue at each grid point; no continuity tracking across the scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,8 +96,8 @@ def gamma_sweep(
     """Diagonalize the reduced search generator on a uniform gamma grid and
     record the overlap of each eigenstate with the s, a, and b probes."""
     lo, hi = gamma_range
-    if not 0 < lo < hi:
-        raise ValueError("gamma range must satisfy 0 < lo < hi")
+    if not (0 < lo < hi and math.isfinite(hi)):
+        raise ValueError("gamma range must be finite and satisfy 0 < lo < hi")
     if points < 2:
         raise ValueError("points must be >= 2")
     gammas = np.linspace(lo, hi, points)

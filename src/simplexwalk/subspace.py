@@ -13,6 +13,7 @@ symmetric; states are complex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,8 @@ def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     The marked-vertex term lands entirely on the (a, a) entry, which is
     therefore exactly -gamma * 0 - 1 = -1 for every gamma.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be finite and > 0")
     ham = -gamma * reduced_adjacency(spec)
     ham[0, 0] -= 1.0
     return ham
@@ -116,8 +117,8 @@ def full_hamiltonian(
     """Search generator -gamma * A - |marked><marked| on the full vertex space."""
     from .graph import build_adjacency
 
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be finite and > 0")
     if marked is None:
         marked = DEFAULT_MARKED
     ham = -gamma * build_adjacency(spec)

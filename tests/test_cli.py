@@ -1,17 +1,25 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import runpy
+import sys
 
 import numpy as np
 import pytest
 
-from simplexwalk.cli import main
+from simplexwalk.cli import _csv_doc, _fmt, main
 
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _assert_refused(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _csv_rows(text):
@@ -81,11 +89,12 @@ def test_sweep_crossing_positions(capsys):
 
 
 def test_sweep_rejects_inverted_range(capsys):
-    code, _, err = _run(
-        capsys, "sweep", "--M", "1000", "--w", "1", "--lo", "0.003", "--hi", "0.001"
-    )
-    assert code == 2
-    assert "lo < hi" in err
+    for lo, hi in (("0.003", "0.001"), ("0.001", "inf")):
+        code, out, err = _run(
+            capsys, "sweep", "--M", "1000", "--w", "1", "--lo", lo, "--hi", hi
+        )
+        _assert_refused(code, out, err)
+        assert "lo < hi" in err
 
 
 def test_evolve_csv(capsys):
@@ -106,11 +115,21 @@ def test_evolve_w3_stage_boundary(capsys):
 
 
 def test_evolve_rejects_negative_duration(capsys):
-    code, _, err = _run(
-        capsys, "evolve", "--M", "1000", "--w", "1", "--t1", "-5"
-    )
-    assert code == 2
-    assert "durations" in err
+    for flag, value in (("--t1", "-5"), ("--t1", "inf"), ("--t2", "nan")):
+        code, out, err = _run(capsys, "evolve", "--M", "1000", "--w", "1", flag, value)
+        _assert_refused(code, out, err)
+        assert "durations" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--M", "10", "--gamma", "nan"],
+    ["verify", "--M", "10", "--gamma", "inf"],
+    ["evolve", "--M", "1000", "--gamma1", "inf"],
+])
+def test_nonfinite_gamma_is_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert "finite" in err
 
 
 def test_verify_passes_small_instances(capsys):
@@ -128,6 +147,27 @@ def test_verify_refuses_large_m(capsys):
     code, _, err = _run(capsys, "verify", "--M", "50", "--w", "1")
     assert code == 2
     assert "M <= 30" in err
+
+
+def test_python_m_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["simplexwalk", "census", "--M", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("simplexwalk", run_name="__main__")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert main(["census", "--M", "3"]) == 0
+    assert out == capsys.readouterr().out
+    assert out.splitlines()[1] == "class_pair,weight_tier,count"
+
+
+def test_csv_doc_cells_match_fmt():
+    values = [0.0, -0.0, 5e-324, 1 / 3, 0.1 + 0.2, 1e-5, 1e16, 123456789012.5,
+              np.inf, -np.inf, np.nan]
+    doc = _csv_doc(["# one row"], "h", [np.array([values])])
+    assert doc == "# one row\nh\n" + ",".join(_fmt(x) for x in values) + "\n"
+    doc = _csv_doc([], "x,y", [np.array(values), np.array(values[::-1])])
+    rows = doc.splitlines()[1:]
+    assert rows == [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(values, values[::-1])]
 
 
 def test_census_output(capsys):

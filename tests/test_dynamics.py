@@ -62,6 +62,13 @@ def test_evolve_rejects_mismatched_state():
         evolve(ham, np.zeros(6, dtype=complex), 1.0)
 
 
+def test_evolve_rejects_nonfinite_time():
+    ham, psi = _ham_and_state()
+    for t in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            evolve(ham, psi, t)
+
+
 def test_two_stage_run_w1():
     spec = GraphSpec(1000, 1.0)
     schedule = two_stage_schedule(spec)
@@ -121,10 +128,10 @@ def test_run_schedule_rejects_bad_schedules():
     spec = GraphSpec(5, 1.0)
     with pytest.raises(ValueError):
         run_schedule(spec, [])
-    with pytest.raises(ValueError):
-        run_schedule(spec, [Stage(0.1, -1.0)])
-    with pytest.raises(ValueError):
-        run_schedule(spec, [Stage(-0.1, 1.0)])
+    for gamma, duration in ((0.1, -1.0), (-0.1, 1.0), (0.1, np.inf), (0.1, np.nan),
+                            (np.inf, 1.0), (np.nan, 1.0)):
+        with pytest.raises(ValueError):
+            run_schedule(spec, [Stage(gamma, duration)])
 
 
 def test_peak_success_w1():

@@ -166,8 +166,9 @@ def test_sweep_stage1_crossing_moves_with_weight():
 
 
 def test_sweep_rejects_bad_range():
-    with pytest.raises(ValueError):
-        gamma_sweep(GraphSpec(5, 1.0), (0.3, 0.1), 10)
+    for bad_range in ((0.3, 0.1), (0.1, np.inf), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            gamma_sweep(GraphSpec(5, 1.0), bad_range, 10)
     with pytest.raises(ValueError):
         gamma_sweep(GraphSpec(5, 1.0), (0.1, 0.3), 1)
 

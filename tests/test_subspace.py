@@ -39,8 +39,10 @@ def test_marked_entry_is_minus_one_exactly(M, w, gamma):
 
 
 def test_reduced_hamiltonian_rejects_nonpositive_gamma():
-    with pytest.raises(ValueError):
-        reduced_hamiltonian(GraphSpec(5, 1.0), 0.0)
+    for build in (reduced_hamiltonian, full_hamiltonian):
+        for gamma in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                build(GraphSpec(5, 1.0), gamma)
 
 
 def test_stage1_gap_near_closed_form():
