@@ -43,6 +43,17 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _sci(x: float) -> str:
+    """Scientific notation with at most three significant digits and no
+    padded exponent: 1e-10, 2.2e-07 -> 2.2e-7."""
+    return np.format_float_scientific(x, precision=2, trim="-", exp_digits=1)
+
+
+def _tolerance(floor: float, scale: float) -> float:
+    """A check's tolerance: the floor, or 100 eps times the scale when larger."""
+    return max(floor, 100 * np.finfo(float).eps * scale)
+
+
 def _json_value(x):
     if isinstance(x, (int, np.integer)):
         return int(x)
@@ -141,12 +152,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     basis = subspace.class_basis(spec)
     ham_full = subspace.full_hamiltonian(spec, gamma)
     ham_red = subspace.reduced_hamiltonian(spec, gamma)
+    # Rounding grows with the generator's norm, bounded by gamma * ||A|| plus
+    # the oracle's 1, and for an evolution also with the time.
+    h_norm = gamma * (spec.M + spec.w - 1.0) + 1.0
     checks: list[tuple[str, bool, str]] = []
 
     projected = basis.matrix @ ham_full @ basis.matrix.T
     dev = float(np.max(np.abs(projected - ham_red)))
-    checks.append(("projection", dev <= 1e-10,
-                   f"max|P H P^T - H_reduced| = {dev:.3e} (tol 1e-10)"))
+    tol = _tolerance(1e-10, h_norm)
+    checks.append(("projection", dev <= tol,
+                   f"max|P H P^T - H_reduced| = {dev:.3e} (tol {_sci(tol)})"))
 
     psi_full = subspace.full_initial_state(spec)
     psi_red = subspace.reduced_initial_state(spec)
@@ -155,8 +170,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lifted = basis.lift(dynamics.evolve(ham_red, psi_red, t))
         full = dynamics.evolve(ham_full, psi_full, t)
         dyn_dev = max(dyn_dev, float(np.linalg.norm(full - lifted)))
-    checks.append(("dynamics", dyn_dev <= 1e-8,
-                   f"max full-vs-reduced state deviation = {dyn_dev:.3e} (tol 1e-8)"))
+    tol = _tolerance(1e-8, 10.0 * h_norm)
+    checks.append(("dynamics", dyn_dev <= tol,
+                   f"max full-vs-reduced state deviation = {dyn_dev:.3e} (tol {_sci(tol)})"))
 
     leakage = 0.0
     for k in range(7):
@@ -164,8 +180,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         evolved = dynamics.evolve(ham_full, lifted, 10.0)
         residual = evolved - basis.matrix.T @ (basis.matrix @ evolved)
         leakage = max(leakage, float(np.linalg.norm(residual)))
-    checks.append(("leakage", leakage <= 1e-8,
-                   f"max out-of-subspace leakage = {leakage:.3e} (tol 1e-8)"))
+    checks.append(("leakage", leakage <= tol,
+                   f"max out-of-subspace leakage = {leakage:.3e} (tol {_sci(tol)})"))
 
     census = graph.edge_census(spec, graph.classify_vertices(spec))
     census_ok = census == theory.census_formulas(spec.M)

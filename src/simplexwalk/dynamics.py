@@ -22,6 +22,7 @@ from .spectral import _bisect
 from .subspace import reduced_hamiltonian, reduced_initial_state
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 10_000
 
 
 class Stage(NamedTuple):
@@ -86,37 +87,68 @@ def _validate_schedule(schedule: Schedule) -> list[Stage]:
 
 class _Propagator:
     """Eigendecompositions and stage-start states for one schedule, so the
-    amplitudes at a batch of global times cost one contraction per stage."""
+    amplitudes at a batch of global times cost one contraction per stage.
 
-    def __init__(self, spec: GraphSpec, schedule: Schedule):
+    ``spectra`` maps a gamma to the eigendecomposition of its reduced
+    generator.  A caller that builds several propagators for one spec passes
+    the same dict to each, and a gamma they share is diagonalised once.
+    """
+
+    def __init__(self, spec: GraphSpec, schedule: Schedule,
+                 spectra: dict | None = None):
         self.stages = _validate_schedule(schedule)
         self.boundaries = np.concatenate(
             [[0.0], np.cumsum([s.duration for s in self.stages])]
         )
+        for k, stage in enumerate(self.stages):
+            if stage.duration > 0 and self.boundaries[k + 1] == self.boundaries[k]:
+                raise ValueError(
+                    "stage durations must advance the float64 global time: stage "
+                    f"{k + 1} (duration {stage.duration:g}) vanishes after "
+                    f"{self.boundaries[k]:g}"
+                )
+        spectra = {} if spectra is None else spectra
         self._spectra = []
         psi = reduced_initial_state(spec)
         for stage in self.stages:
-            lam, vecs = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
+            if stage.gamma not in spectra:
+                spectra[stage.gamma] = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
+            lam, vecs = spectra[stage.gamma]
             coeff = vecs.T @ psi
             self._spectra.append((lam, vecs, coeff))
             psi = _contract(lam, vecs, coeff, stage.duration)
 
+    def stage_slices(self, times: np.ndarray) -> list[slice]:
+        """One index range per stage into a sorted 1-D array of global times.
+        A time on a stage boundary belongs to the later stage; times outside
+        the schedule extend the first or last stage."""
+        edges = [0, *np.searchsorted(times, self.boundaries[1:-1]), len(times)]
+        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+    def stage_amplitudes(self, k: int, times: np.ndarray, rows) -> np.ndarray:
+        """Amplitudes of the state components ``rows`` under stage k's
+        generator at a 1-D array of global times, with a trailing time axis."""
+        lam, vecs, coeff = self._spectra[k]
+        return _contract(lam[:, None], vecs[rows], coeff[:, None],
+                         times - self.boundaries[k])
+
+    def amplitude_bounds(self, row: int) -> np.ndarray:
+        """Per stage, ``sum_j |V[row, j] c_j|``: by the triangle inequality no
+        amplitude of component ``row`` in that stage has a larger modulus."""
+        return np.array([np.abs(vecs[row] * coeff).sum() for _, vecs, coeff in self._spectra])
+
     def amplitudes(self, times, rows):
         """Amplitudes of the state components ``rows`` (an index or a slice)
         at a scalar global time, shaped like ``vecs[rows]``, or at a sorted
-        1-D array of times, with a trailing time axis.  A time on a stage
-        boundary belongs to the later stage; times outside the schedule
-        extend the first or last stage."""
-        inner = self.boundaries[1:-1]
+        1-D array of times, with a trailing time axis (stages assigned as in
+        ``stage_slices``)."""
         if np.ndim(times) == 0:
-            k = int(np.searchsorted(inner, times, side="right"))
+            k = int(np.searchsorted(self.boundaries[1:-1], times, side="right"))
             lam, vecs, coeff = self._spectra[k]
             return _contract(lam, vecs[rows], coeff, times - self.boundaries[k])
-        pieces = zip(self._spectra, np.split(times, np.searchsorted(times, inner)),
-                     self.boundaries)
         return np.concatenate(
-            [_contract(lam[:, None], vecs[rows], coeff[:, None], tau - start)
-             for (lam, vecs, coeff), tau, start in pieces],
+            [self.stage_amplitudes(k, times[piece], rows)
+             for k, piece in enumerate(self.stage_slices(times))],
             axis=-1,
         )
 
@@ -147,12 +179,12 @@ def run_schedule(
     )
 
 
-def _grid_max(f, times: np.ndarray, xtol: float) -> tuple[float, float]:
-    """Maximum of f, which takes a scalar or an array of times: the best
-    point of the sorted grid ``times``, refined by golden-section search
-    between its neighbours to xtol.  The grid point is kept when the
-    refinement ends lower."""
-    values = f(times)
+def _grid_max(f, times: np.ndarray, values: np.ndarray, xtol: float) -> tuple[float, float]:
+    """Maximum of f, which takes a scalar time: the best point of the sorted
+    grid ``times``, whose values the caller gives, refined by golden-section
+    search between its neighbours to xtol.  The grid point is kept when the
+    refinement ends lower.  A value may be -inf where the caller knows the
+    point cannot be the grid's maximum."""
     i = int(np.argmax(values))
     lo = times[max(i - 1, 0)]
     hi = times[min(i + 1, len(times) - 1)]
@@ -176,7 +208,7 @@ def _grid_max(f, times: np.ndarray, xtol: float) -> tuple[float, float]:
 
 
 def peak_success(
-    spec: GraphSpec, schedule: Schedule, grid_points: int = 10_000
+    spec: GraphSpec, schedule: Schedule, grid_points: int = _GRID_POINTS
 ) -> tuple[float, float]:
     """Time and value of the maximum marked-vertex probability over a schedule.
 
@@ -184,34 +216,63 @@ def peak_success(
     then refined by golden-section search to 1e-6 of the total duration.  The
     grid must stay dense because the success spike is narrow: roughly t2 wide
     inside a schedule of length ~t1.
+
+    Most of the grid is never evaluated.  In stage k the marked-vertex
+    amplitude is ``sum_j V[0, j] c_j exp(-i lam_j tau)``, with the stage's
+    eigenvectors V and the stage-start state's eigenbasis coefficients c, so
+    the probability there never exceeds ``B_k**2``, where
+    ``B_k = sum_j |V[0, j] c_j|``.  Stages are evaluated in descending
+    ``B_k``, and a stage whose ``B_k**2`` (with 1e-9 relative slack for
+    rounding) is below the best grid value so far is skipped: none of its
+    points can be the grid maximum.  The result equals that of the full-grid
+    search bit for bit.  On the two-stage schedule this skips stage 1, which
+    holds nearly all of the grid while its probability stays O(1/M).
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    prop = _Propagator(spec, schedule)
+    return _peak(_Propagator(spec, schedule), grid_points)
+
+
+def _peak(prop: _Propagator, grid_points: int) -> tuple[float, float]:
+    """``peak_success`` on an already built propagator."""
     total = prop.boundaries[-1]
     times = np.unique(
         np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
     )
-    return _grid_max(lambda t: np.abs(prop.amplitudes(t, 0)) ** 2, times, 1e-6 * total)
+    values = np.full(times.shape, -np.inf)
+    pieces = prop.stage_slices(times)
+    bounds = prop.amplitude_bounds(0)
+    best = -np.inf
+    for k in np.argsort(bounds)[::-1]:
+        if bounds[k] ** 2 * (1 + 1e-9) < best:
+            break
+        piece = pieces[k]
+        values[piece] = np.abs(prop.stage_amplitudes(k, times[piece], 0)) ** 2
+        best = max(best, values[piece].max(initial=-np.inf))
+    return _grid_max(
+        lambda t: np.abs(prop.amplitudes(t, 0)) ** 2, times, values, 1e-6 * total
+    )
 
 
 def width_scan(
     spec: GraphSpec, stage: int, offsets: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak success probability of the two-stage schedule as one stage's gamma
-    is detuned by each offset; the other stage stays at its critical value."""
+    is detuned by each offset; the other stage stays at its critical value
+    and is diagonalised once for the whole scan."""
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     base = two_stage_schedule(spec)
     offsets = np.asarray(offsets, dtype=float)
     peaks = np.empty(offsets.shape)
+    spectra: dict = {}
     for i, eps in enumerate(offsets):
         stages = list(base)
         gamma, duration = stages[stage - 1]
         if gamma + eps <= 0:
             raise ValueError(f"offset {eps} drives gamma nonpositive")
         stages[stage - 1] = Stage(gamma + eps, duration)
-        _, peaks[i] = peak_success(spec, stages)
+        _, peaks[i] = _peak(_Propagator(spec, stages, spectra), _GRID_POINTS)
     return offsets, peaks
 
 
@@ -252,6 +313,8 @@ def optimal_stage1_duration(
     pred = theory.predict(spec)
     prop = _Propagator(spec, [Stage(pred.gamma_c1, window * pred.t1)])
     times = np.linspace(0.0, window * pred.t1, grid_points)
-    return _grid_max(
-        lambda t: np.abs(prop.amplitudes(t, 1)) ** 2, times, 1e-9 * pred.t1
-    )
+
+    def prob_b(t):
+        return np.abs(prop.amplitudes(t, 1)) ** 2
+
+    return _grid_max(prob_b, times, prob_b(times), 1e-9 * pred.t1)

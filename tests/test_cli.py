@@ -115,7 +115,8 @@ def test_evolve_w3_stage_boundary(capsys):
 
 
 def test_evolve_rejects_negative_duration(capsys):
-    for flag, value in (("--t1", "-5"), ("--t1", "inf"), ("--t2", "nan")):
+    for flag, value in (("--t1", "-5"), ("--t1", "inf"), ("--t2", "nan"),
+                        ("--t1", "1e300")):
         code, out, err = _run(capsys, "evolve", "--M", "1000", "--w", "1", flag, value)
         _assert_refused(code, out, err)
         assert "durations" in err
@@ -133,14 +134,19 @@ def test_nonfinite_gamma_is_refused(capsys, argv):
 
 
 def test_verify_passes_small_instances(capsys):
-    for argv in (
-        ["verify", "--M", "5", "--w", "2", "--gamma", "0.4"],
-        ["verify", "--M", "3", "--w", "1", "--gamma", "0.6667"],
+    # tolerances grow as 100 eps ||H|| (projection) and 100 eps t ||H||
+    # (dynamics, leakage) once that exceeds the 1e-10 and 1e-8 floors
+    for argv, tols in (
+        (["verify", "--M", "5", "--w", "2", "--gamma", "0.4"], ("1e-10", "1e-8")),
+        (["verify", "--M", "3", "--w", "1", "--gamma", "0.6667"], ("1e-10", "1e-8")),
+        (["verify", "--M", "10", "--gamma", "1e6"], ("2.22e-7", "2.22e-6")),
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 0
         assert out.count("PASS") == 4
         assert "4/4 checks passed" in out
+        assert out.count(f"(tol {tols[0]})") == 1
+        assert out.count(f"(tol {tols[1]})") == 2
 
 
 def test_verify_refuses_large_m(capsys):

@@ -6,6 +6,7 @@ import pytest
 from simplexwalk import (
     GraphSpec,
     Stage,
+    dynamics,
     evolve,
     optimal_stage1_duration,
     peak_success,
@@ -134,6 +135,19 @@ def test_run_schedule_rejects_bad_schedules():
             run_schedule(spec, [Stage(gamma, duration)])
 
 
+def test_stage_that_vanishes_in_global_time_is_refused():
+    spec = GraphSpec(1000, 1.0)
+    (gamma1, _), (gamma2, t2) = two_stage_schedule(spec)
+    for call in (run_schedule, peak_success):
+        with pytest.raises(ValueError, match="stage 2"):
+            call(spec, [Stage(gamma1, 1e300), Stage(gamma2, t2)])
+    for M in (3, 10**3, 10**6, 10**9, 10**12):
+        spec = GraphSpec(M, 1.0)
+        series = run_schedule(spec, two_stage_schedule(spec), samples_per_stage=3)
+        assert len(series.times) == 7
+        assert series.stage_boundaries[0] < series.stage_boundaries[1]
+
+
 def test_peak_success_w1():
     spec = GraphSpec(1000, 1.0)
     t_peak, p_peak = peak_success(spec, two_stage_schedule(spec))
@@ -169,6 +183,101 @@ def test_peak_success_zero_duration_schedule():
     assert p_peak == pytest.approx(1.0 / spec.n_vertices, abs=1e-12)
 
 
+def _full_grid_peak(spec, schedule, grid_points):
+    """peak_success without the stage skip: every grid point evaluated."""
+    prop = dynamics._Propagator(spec, schedule)
+    total = prop.boundaries[-1]
+    times = np.unique(
+        np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
+    )
+
+    def prob(t):
+        return np.abs(prop.amplitudes(t, 0)) ** 2
+
+    return dynamics._grid_max(prob, times, prob(times), 1e-6 * total)
+
+
+def _critical_rates(M=1000, w=1.0):
+    spec = GraphSpec(M, w)
+    (gamma1, t1), (gamma2, t2) = two_stage_schedule(spec)
+    return spec, gamma1, t1, gamma2, t2
+
+
+@pytest.mark.parametrize("case, grid_points", [
+    ("two_stage", 10_000), ("three_stages", 10_000), ("four_stages", 10_000),
+    ("zero_durations", 10_000), ("zero_last_stage", 10_000),
+    ("stage1_peak", 10_000), ("two_stage", 2),
+])
+def test_peak_success_equals_full_grid_search(case, grid_points):
+    spec, g1, t1, g2, t2 = _critical_rates()
+    schedule = {
+        "two_stage": [(g1, t1), (g2, t2)],
+        "three_stages": [(g1, t1), (g2, t2), (g1, t1 / 3)],
+        "four_stages": [(g1, t1), (g2, t2), (3 * g2, 2 * t2), (g1, t1)],
+        "zero_durations": [(g1, 0.0), (g2, t2), (g1, 0.0)],
+        "zero_last_stage": [(g1, t1), (g2, 0.0)],
+        # detuned so far that stage 1 holds the peak and stage 2 is skipped
+        "stage1_peak": [(g1, t1), (10 * g2, t2)],
+    }[case]
+    result = peak_success(spec, schedule, grid_points=grid_points)
+    assert result == _full_grid_peak(spec, schedule, grid_points)
+    if case == "stage1_peak":
+        assert result[0] < t1
+
+
+def test_peak_success_equals_full_grid_search_on_random_schedules():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        spec, g1, t1, g2, t2 = _critical_rates(
+            int(10 ** rng.uniform(1, 4)), float(rng.choice([0.5, 1.0, 3.0]))
+        )
+        schedule = [
+            (gamma * 10 ** rng.uniform(-1, 1), duration * rng.choice([0.0, 0.5, 1.0, 2.0]))
+            for gamma, duration in [(g1, t1), (g2, t2), (g1, t1), (g2, t2)][:rng.integers(1, 5)]
+        ]
+        grid_points = int(rng.choice([2, 7, 100, 10_000]))
+        assert peak_success(spec, schedule, grid_points) == _full_grid_peak(
+            spec, schedule, grid_points
+        )
+
+
+@pytest.mark.parametrize("M, w, detune", [
+    (10, 1.0, 1.0), (200, 0.5, 1.0), (1000, 1.0, 1.0), (1000, 3.0, 3.0), (5000, 2.0, 0.3),
+])
+def test_stage_bound_caps_marked_probability(M, w, detune):
+    spec, g1, t1, g2, t2 = _critical_rates(M, w)
+    prop = dynamics._Propagator(
+        spec, [(g1, t1), (detune * g2, t2), (detune * g1, t1 / 2)]
+    )
+    for k, bound in enumerate(prop.amplitude_bounds(0)):
+        times = np.linspace(prop.boundaries[k], prop.boundaries[k + 1], 20_001)
+        prob = np.abs(prop.stage_amplitudes(k, times, 0)) ** 2
+        assert prob.max() <= bound**2 * (1 + 1e-9)
+
+
+def test_peak_success_evaluates_under_one_percent_of_the_grid(monkeypatch):
+    columns = []
+    contract = dynamics._contract
+
+    def counting(lam, vecs, coeff, tau):
+        columns.append(np.size(tau))
+        return contract(lam, vecs, coeff, tau)
+
+    monkeypatch.setattr(dynamics, "_contract", counting)
+    spec = GraphSpec(1000, 1.0)
+    peak_success(spec, two_stage_schedule(spec))
+    assert 0 < sum(columns) < 0.01 * 10_000
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: per-stage grids")
+def test_peak_success_resolves_a_spike_narrower_than_the_grid():
+    # stage 2 held for 10 t2 at M = 1e6: dense sampling reaches 0.999998,
+    # the uniform 10k-point grid steps over the spike and finds 4e-6
+    spec, g1, t1, g2, t2 = _critical_rates(10**6)
+    _, p_peak = peak_success(spec, [(g1, t1), (g2, 10 * t2)])
+    assert p_peak > 0.99
+
+
 def test_width_scan_zero_offset_matches_baseline():
     spec = GraphSpec(500, 1.0)
     _, baseline = peak_success(spec, two_stage_schedule(spec))
@@ -182,6 +291,28 @@ def test_width_scan_large_stage2_detuning_halves_the_peak():
     _, baseline = peak_success(spec, two_stage_schedule(spec))
     _, peaks = width_scan(spec, 2, [50.0 / 500**1.5])
     assert peaks[0] < baseline / 2
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_width_scan_diagonalises_the_fixed_stage_once(monkeypatch, stage):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    spec = GraphSpec(500, 1.0)
+    offsets = np.linspace(-1e-5, 1e-5, 21)
+    _, peaks = width_scan(spec, stage, offsets)
+    assert calls == [(7, 7)] * 22
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for eps, p in zip(offsets[::5], peaks[::5]):
+        schedule = two_stage_schedule(spec)
+        gamma, duration = schedule[stage - 1]
+        schedule[stage - 1] = Stage(gamma + eps, duration)
+        assert p == peak_success(spec, schedule)[1]
 
 
 def test_width_scan_rejects_bad_stage():
