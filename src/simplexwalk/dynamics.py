@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,8 +90,8 @@ class _Propagator:
     amplitudes at a batch of global times cost one contraction per stage.
 
     ``spectra`` maps a gamma to the eigendecomposition of its reduced
-    generator.  A caller that builds several propagators for one spec passes
-    the same dict to each, and a gamma they share is diagonalised once.
+    generator.  ``_detuned_peak`` passes one dict to all the propagators it
+    builds for one spec, so a gamma they share is diagonalised once.
     """
 
     def __init__(self, spec: GraphSpec, schedule: Schedule,
@@ -158,17 +158,14 @@ def run_schedule(
 ) -> TimeSeries:
     """Evolve the equal superposition through the schedule, sampling each
     stage uniformly; the state is continuous across stage boundaries."""
-    if samples_per_stage < 1:
-        raise ValueError("samples_per_stage must be >= 1")
+    if not isinstance(samples_per_stage, (int, np.integer)) or samples_per_stage < 1:
+        raise ValueError("samples_per_stage must be an integer >= 1")
     prop = _Propagator(spec, schedule)
-    times = [0.0]
-    for k, stage in enumerate(prop.stages):
-        if stage.duration == 0.0:
-            continue
-        start = prop.boundaries[k]
-        times.extend(start + stage.duration * np.arange(1, samples_per_stage + 1)
-                     / samples_per_stage)
-    times = np.asarray(times)
+    steps = np.arange(1, samples_per_stage + 1)
+    times = np.concatenate([[0.0]] + [
+        start + stage.duration * steps / samples_per_stage
+        for start, stage in zip(prop.boundaries, prop.stages) if stage.duration > 0
+    ])
     amps = prop.amplitudes(times, slice(None))
     return TimeSeries(
         times=times,
@@ -254,65 +251,68 @@ def _peak(prop: _Propagator, grid_points: int) -> tuple[float, float]:
     )
 
 
+def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
+    """``peak(eps)``: the two-stage schedule's peak success probability with one
+    stage's gamma detuned by eps.  The calls share one dict of eigendecompositions,
+    so the stage held at its critical gamma is diagonalised once."""
+    if stage not in (1, 2):
+        raise ValueError("stage must be 1 or 2")
+    stages = two_stage_schedule(spec)
+    gamma, duration = stages[stage - 1]
+    spectra: dict = {}
+
+    def peak(eps: float) -> float:
+        if gamma + eps <= 0:
+            raise ValueError(f"offset {eps} drives gamma nonpositive")
+        stages[stage - 1] = Stage(gamma + eps, duration)
+        return _peak(_Propagator(spec, stages, spectra), _GRID_POINTS)[1]
+
+    return peak
+
+
 def width_scan(
     spec: GraphSpec, stage: int, offsets: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak success probability of the two-stage schedule as one stage's gamma
     is detuned by each offset; the other stage stays at its critical value
     and is diagonalised once for the whole scan."""
-    if stage not in (1, 2):
-        raise ValueError("stage must be 1 or 2")
-    base = two_stage_schedule(spec)
+    peak = _detuned_peak(spec, stage)
     offsets = np.asarray(offsets, dtype=float)
-    peaks = np.empty(offsets.shape)
-    spectra: dict = {}
-    for i, eps in enumerate(offsets):
-        stages = list(base)
-        gamma, duration = stages[stage - 1]
-        if gamma + eps <= 0:
-            raise ValueError(f"offset {eps} drives gamma nonpositive")
-        stages[stage - 1] = Stage(gamma + eps, duration)
-        _, peaks[i] = _peak(_Propagator(spec, stages, spectra), _GRID_POINTS)
-    return offsets, peaks
+    return offsets, np.array([peak(eps) for eps in offsets])
 
 
 def stage_half_width(spec: GraphSpec, stage: int) -> float:
     """Smallest positive gamma detuning that halves the peak success
     probability, found by geometric bracketing plus bisection."""
+    peak = _detuned_peak(spec, stage)
+    half = peak(0.0) / 2
     scale = spec.M ** -1.5
-    _, baseline = peak_success(spec, two_stage_schedule(spec))
-
-    def peak(eps: float) -> float:
-        _, peaks = width_scan(spec, stage, [eps])
-        return float(peaks[0])
-
     eps = 1e-3 * scale
-    while peak(eps) <= baseline / 2:
+    while peak(eps) <= half:
         eps /= 4.0
         if eps < 1e-12 * scale:
             raise RuntimeError("peak success is degraded at arbitrarily small detuning")
     lo, hi = eps, 1.5 * eps
-    while peak(hi) > baseline / 2:
+    while peak(hi) > half:
         lo = hi
         hi *= 1.5
         if hi > 10.0 / math.sqrt(spec.M):
             raise RuntimeError("no halving detuning found below 10/sqrt(M)")
-    return _bisect(lambda eps: peak(eps) - baseline / 2, lo, hi, 1e-10)
+    return _bisect(lambda eps: peak(eps) - half, lo, hi, 1e-10)
 
 
-def optimal_stage1_duration(
-    spec: GraphSpec, window: float = 1.6, grid_points: int = 20_001
-) -> tuple[float, float]:
+def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     """Stage-1 duration that maximizes the marked-cluster probability.
 
-    Scans prob_b under the stage-1 critical generator over [0, window * t1]
-    and refines the best grid point by golden-section search.  The measured
-    optimum differs from the closed-form t1 by the subleading corrections the
-    closed form drops.
+    Scans prob_b under the stage-1 critical generator on 20,001 points of
+    [0, 1.6 t1] and refines the best grid point by golden-section search.  The
+    measured optimum differs from the closed-form t1 by the subleading
+    corrections the closed form drops.
     """
     pred = theory.predict(spec)
-    prop = _Propagator(spec, [Stage(pred.gamma_c1, window * pred.t1)])
-    times = np.linspace(0.0, window * pred.t1, grid_points)
+    window = 1.6 * pred.t1
+    prop = _Propagator(spec, [Stage(pred.gamma_c1, window)])
+    times = np.linspace(0.0, window, 20_001)
 
     def prob_b(t):
         return np.abs(prop.amplitudes(t, 1)) ** 2

@@ -59,8 +59,10 @@ class GraphSpec:
     w: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.M, int) or self.M < 3:
+        if not isinstance(self.M, (int, np.integer)) or self.M < 3:
             raise ValueError("M must be an integer >= 3")
+        # a numpy integer is stored as a Python int, so n_vertices cannot wrap
+        object.__setattr__(self, "M", int(self.M))
         if not (self.w > 0 and math.isfinite(self.w)):
             raise ValueError("w must be finite and > 0")
 

@@ -141,6 +141,8 @@ def find_crossing(
     otherwise the sign change is rejected as spurious.
     """
     j, k = eig_pair
+    if j == k or not all(isinstance(i, (int, np.integer)) and 0 <= i <= 6 for i in (j, k)):
+        raise ValueError(f"eig_pair must be two distinct integers in 0..6; got {eig_pair!r}")
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")

@@ -76,8 +76,8 @@ def unperturbed_pair(
     v lives on (e, f, g) and tends to the g class vector, which dominates
     the equal superposition.  Eigenvalues use the K = -H / gamma convention.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be > 0")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be finite and > 0")
     M, w = spec.M, spec.w
     r_u, r_v = radicands(M, w, gamma)
     coef_a = (1 + 2 * gamma - M * gamma + math.sqrt(r_u)) / (2 * math.sqrt(M) * gamma)

@@ -222,6 +222,16 @@ def test_width_rejects_even_offsets(capsys):
     assert "odd" in err
 
 
+def test_width_refuses_a_detuning_that_reaches_gamma_c(capsys):
+    # gamma_c2 = 1/250, so the offset -0.004 drives stage 2's gamma to 0
+    _assert_refused(*_run(
+        capsys, "width", "--M", "250", "--stage", "2", "--offsets", "5", "--eps-hi", "0.004"
+    ))
+    _assert_refused(*_run(
+        capsys, "width", "--M", "250", "--stage", "2", "--offsets", "5", "--eps-hi", "inf"
+    ))
+
+
 def test_output_file_and_determinism(tmp_path, capsys):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

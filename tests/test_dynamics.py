@@ -135,6 +135,14 @@ def test_run_schedule_rejects_bad_schedules():
             run_schedule(spec, [Stage(gamma, duration)])
 
 
+def test_run_schedule_rejects_bad_samples_per_stage():
+    spec = GraphSpec(20, 1.0)
+    for samples in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="samples_per_stage"):
+            run_schedule(spec, two_stage_schedule(spec), samples_per_stage=samples)
+    assert len(run_schedule(spec, two_stage_schedule(spec), np.int64(2)).times) == 5
+
+
 def test_stage_that_vanishes_in_global_time_is_refused():
     spec = GraphSpec(1000, 1.0)
     (gamma1, _), (gamma2, t2) = two_stage_schedule(spec)
@@ -318,6 +326,36 @@ def test_width_scan_diagonalises_the_fixed_stage_once(monkeypatch, stage):
 def test_width_scan_rejects_bad_stage():
     with pytest.raises(ValueError):
         width_scan(GraphSpec(500, 1.0), 3, [0.0])
+
+
+@pytest.mark.parametrize("stage, searches", [(1, 54), (2, 53)])
+def test_stage_half_width_diagonalises_each_gamma_once(monkeypatch, stage, searches):
+    eigh_calls, peak_calls = [], []
+    eigh, peak = np.linalg.eigh, dynamics._peak
+
+    def counting_eigh(matrix):
+        eigh_calls.append(matrix.shape)
+        return eigh(matrix)
+
+    def counting_peak(prop, grid_points):
+        peak_calls.append(grid_points)
+        return peak(prop, grid_points)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(dynamics, "_peak", counting_peak)
+    monkeypatch.setattr(dynamics, "peak_success", None)
+    monkeypatch.setattr(dynamics, "width_scan", None)
+    stage_half_width(GraphSpec(500, 1.0), stage)
+    # one per peak search for the detuned gamma, plus the fixed stage once
+    assert len(peak_calls) == searches
+    assert eigh_calls == [(7, 7)] * (searches + 1)
+
+
+def test_stage_half_width_rejects_bad_stage(monkeypatch):
+    monkeypatch.setattr(dynamics, "two_stage_schedule", None)
+    for stage in (0, 3):
+        with pytest.raises(ValueError, match="stage must be 1 or 2"):
+            stage_half_width(GraphSpec(500, 1.0), stage)
 
 
 def test_optimal_stage1_duration_ratio():

@@ -28,7 +28,12 @@ def test_spec_validation():
         GraphSpec(5, -2.0)
     with pytest.raises(ValueError):
         GraphSpec(5, float("inf"))
+    with pytest.raises(ValueError):
+        GraphSpec(5.0, 1.0)
     assert GraphSpec(3, 2.5).n_vertices == 12
+    spec = GraphSpec(np.int64(1000), 1.0)
+    assert spec == GraphSpec(1000, 1.0)
+    assert type(spec.M) is int
 
 
 def test_vertex_index_roundtrip():

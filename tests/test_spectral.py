@@ -192,6 +192,12 @@ def test_find_crossing_stage2_is_weight_independent(w):
     assert gamma == pytest.approx(0.001, rel=0.05)
 
 
+@pytest.mark.parametrize("pair", [(1, 1), (0, -6), (0, 7), (0, 1.0)])
+def test_find_crossing_rejects_bad_eig_pair(pair):
+    with pytest.raises(ValueError, match="eig_pair"):
+        find_crossing(GraphSpec(20, 1.0), "s", pair, (0.09, 0.11))
+
+
 def test_find_crossing_requires_sign_change():
     with pytest.raises(NoCrossingError):
         find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0024, 0.003))

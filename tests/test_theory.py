@@ -80,6 +80,12 @@ def test_radicands_nonnegative_on_a_grid():
                 assert np.isfinite(e_u) and np.isfinite(e_v)
 
 
+def test_unperturbed_pair_rejects_nonfinite_or_nonpositive_gamma():
+    for gamma in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            unperturbed_pair(GraphSpec(100, 1.0), gamma)
+
+
 def test_unperturbed_eigenvalues_degenerate_at_gamma_c1():
     for w in (1.0, 3.0):
         spec = GraphSpec(1000, w)
