@@ -22,14 +22,12 @@ from .graph import (
     CLASS_TAGS,
     DEFAULT_MARKED,
     GraphSpec,
-    VertexId,
     algebraic_connectivity,
     build_adjacency,
     class_sizes,
     classify_vertices,
     edge_census,
     laplacian,
-    vertices,
 )
 from .spectral import (
     NoCrossingError,
@@ -74,7 +72,6 @@ __all__ = [
     "Stage",
     "SweepResult",
     "TimeSeries",
-    "VertexId",
     "algebraic_connectivity",
     "algebraic_connectivity_formula",
     "build_adjacency",
@@ -104,6 +101,5 @@ __all__ = [
     "two_stage_schedule",
     "unperturbed_pair",
     "validity_margin",
-    "vertices",
     "width_scan",
 ]

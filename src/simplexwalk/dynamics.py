@@ -225,8 +225,8 @@ def peak_success(
     search bit for bit.  On the two-stage schedule this skips stage 1, which
     holds nearly all of the grid while its probability stays O(1/M).
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
+        raise ValueError("grid_points must be an integer >= 2")
     return _peak(_Propagator(spec, schedule), grid_points)
 
 

@@ -6,6 +6,11 @@ links to cluster j; the matching edge (i, j) <-> (j, i) carries weight w while
 every intra-cluster edge carries weight 1.  Each vertex therefore has weighted
 degree M - 1 + w, and the graph is vertex-transitive.
 
+Vertices are numbered by one dense index, idx = i * M + j - (j > i) for
+vertex (i, j); conversely ``i, r = divmod(idx, M)`` and ``j = r + (r >= i)``.
+Every structure below is built from these index arrays, and a marked vertex
+is given by its dense index.
+
 Relative to a marked vertex the vertices fall into seven classes, tagged
 ``a`` through ``g``:
 
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -71,42 +75,30 @@ class GraphSpec:
         return self.M * (self.M + 1)
 
 
-@dataclass(frozen=True, order=True)
-class VertexId:
-    """Vertex (cluster, port): cluster it belongs to, cluster it links to."""
-
-    cluster: int
-    port: int
-
-    def __post_init__(self) -> None:
-        if self.cluster < 0 or self.port < 0:
-            raise ValueError("cluster and port must be nonnegative")
-        if self.cluster == self.port:
-            raise ValueError("port must differ from cluster")
-
-    def index(self, M: int) -> int:
-        """Dense index: cluster * M + (port, shifted down past the gap at port == cluster)."""
-        if self.cluster > M or self.port > M:
-            raise ValueError(f"vertex {self} out of range for M={M}")
-        return self.cluster * M + (self.port if self.port < self.cluster else self.port - 1)
-
-    @classmethod
-    def from_index(cls, M: int, idx: int) -> "VertexId":
-        if not 0 <= idx < M * (M + 1):
-            raise ValueError(f"index {idx} out of range for M={M}")
-        cluster, rest = divmod(idx, M)
-        return cls(cluster, rest if rest < cluster else rest + 1)
+#: Canonical marked vertex, dense index 0: vertex (0, 1).  Vertex-transitivity
+#: makes the choice irrelevant; fixing it keeps all derived outputs
+#: deterministic.
+DEFAULT_MARKED = 0
 
 
-#: Canonical marked vertex.  Vertex-transitivity makes the choice irrelevant;
-#: fixing it keeps all derived outputs deterministic.
-DEFAULT_MARKED = VertexId(0, 1)
+def _cluster_port(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster and port of every dense index, as two arrays of length N."""
+    cluster, rest = np.divmod(np.arange(M * (M + 1)), M)
+    return cluster, rest + (rest >= cluster)
 
 
-def vertices(M: int) -> Iterator[VertexId]:
-    """All N = M(M + 1) vertices in dense-index order."""
-    for idx in range(M * (M + 1)):
-        yield VertexId.from_index(M, idx)
+def _partner(M: int) -> np.ndarray:
+    """Dense index of each vertex's weight-w partner: (port, cluster)."""
+    cluster, port = _cluster_port(M)
+    return port * M + cluster - (cluster > port)
+
+
+def _check_marked(spec: GraphSpec, marked: int) -> None:
+    if not isinstance(marked, (int, np.integer)) or not 0 <= marked < spec.n_vertices:
+        raise ValueError(
+            f"marked must be an integer vertex index in 0..{spec.n_vertices - 1}; "
+            f"got {marked!r}"
+        )
 
 
 def class_sizes(M: int) -> dict[str, int]:
@@ -129,74 +121,62 @@ def build_adjacency(spec: GraphSpec) -> np.ndarray:
     everything else (including the diagonal) is 0.  The result is exactly
     symmetric by construction.
     """
-    M, w = spec.M, spec.w
-    n = spec.n_vertices
-    adj = np.zeros((n, n))
-    for c in range(M + 1):
-        block = slice(c * M, (c + 1) * M)
-        adj[block, block] = 1.0
+    M = spec.M
+    adj = np.kron(np.eye(M + 1), np.ones((M, M)))
     np.fill_diagonal(adj, 0.0)
-    for i in range(M + 1):
-        for j in range(i + 1, M + 1):
-            x = VertexId(i, j).index(M)
-            y = VertexId(j, i).index(M)
-            adj[x, y] = w
-            adj[y, x] = w
+    adj[np.arange(spec.n_vertices), _partner(M)] = spec.w
     return adj
 
 
-def classify_vertices(
-    spec: GraphSpec, marked: VertexId | None = None
-) -> dict[VertexId, str]:
-    """Assign every vertex its class tag relative to the marked vertex."""
-    if marked is None:
-        marked = DEFAULT_MARKED
-    marked.index(spec.M)  # range check
-    i0, j0 = marked.cluster, marked.port
-    classes: dict[VertexId, str] = {}
-    for v in vertices(spec.M):
-        if v == marked:
-            tag = "a"
-        elif v.cluster == j0 and v.port == i0:
-            tag = "c"
-        elif v.cluster == i0:
-            tag = "b"
-        elif v.cluster == j0:
-            tag = "d"
-        elif v.port == i0:
-            tag = "e"
-        elif v.port == j0:
-            tag = "f"
-        else:
-            tag = "g"
-        classes[v] = tag
-    return classes
+def classify_vertices(spec: GraphSpec, marked: int = DEFAULT_MARKED) -> np.ndarray:
+    """Class of every vertex relative to the marked one, as an int array of
+    length N indexing CLASS_TAGS."""
+    _check_marked(spec, marked)
+    cluster, port = _cluster_port(spec.M)
+    i0, j0 = cluster[marked], port[marked]
+    # in CLASS_TAGS order; np.select takes the first predicate that holds
+    predicates = [
+        np.arange(spec.n_vertices) == marked,
+        cluster == i0,
+        (cluster == j0) & (port == i0),
+        cluster == j0,
+        port == i0,
+        port == j0,
+    ]
+    return np.select(predicates, range(6), default=6)
 
 
-def edge_census(
-    spec: GraphSpec, classes: dict[VertexId, str]
-) -> dict[tuple[str, str, str], int]:
+def edge_census(spec: GraphSpec, classes: np.ndarray) -> dict[tuple[str, str, str], int]:
     """Count edges by the class pair they connect and their weight tier.
 
-    Enumerates the actual edge structure (not matrix values), so the "w" and
-    "1" tiers stay distinct even when w == 1.
+    ``classes`` is the output of :func:`classify_vertices`.  Enumerates the
+    actual edge structure (not matrix values), so the "w" and "1" tiers stay
+    distinct even when w == 1.
     """
-    if len(classes) != spec.n_vertices:
-        raise ValueError("classes must cover all vertices")
-    counts = {key: 0 for key in CENSUS_KEYS}
-
-    def add(x: VertexId, y: VertexId, tier: str) -> None:
-        lo, hi = sorted((classes[x], classes[y]))
-        counts[(lo, hi, tier)] = counts.get((lo, hi, tier), 0) + 1
-
+    classes = np.asarray(classes)
+    if (
+        classes.shape != (spec.n_vertices,)
+        or not np.issubdtype(classes.dtype, np.integer)
+        or not np.all((classes >= 0) & (classes < len(CLASS_TAGS)))
+    ):
+        raise ValueError("classes must hold one CLASS_TAGS index per vertex")
     M = spec.M
-    for i in range(M + 1):
-        members = [VertexId(i, j) for j in range(M + 1) if j != i]
-        for p in range(M):
-            for q in range(p + 1, M):
-                add(members[p], members[q], "1")
-        for j in range(i + 1, M + 1):
-            add(VertexId(i, j), VertexId(j, i), "w")
+    p, q = np.triu_indices(M, 1)
+    base = M * np.arange(M + 1)[:, None]
+    partner = _partner(M)
+    first = np.flatnonzero(np.arange(spec.n_vertices) < partner)
+    edges = {
+        "1": ((base + p).ravel(), (base + q).ravel()),
+        "w": (first, partner[first]),
+    }
+    counts = {key: 0 for key in CENSUS_KEYS}
+    for tier, (x, y) in edges.items():
+        lo = np.minimum(classes[x], classes[y])
+        hi = np.maximum(classes[x], classes[y])
+        tally = np.bincount(7 * lo + hi, minlength=49)
+        for code in np.flatnonzero(tally):
+            lo_tag, hi_tag = divmod(int(code), 7)
+            counts[(CLASS_TAGS[lo_tag], CLASS_TAGS[hi_tag], tier)] = int(tally[code])
     return counts
 
 

@@ -98,8 +98,8 @@ def gamma_sweep(
     lo, hi = gamma_range
     if not (0 < lo < hi and math.isfinite(hi)):
         raise ValueError("gamma range must be finite and satisfy 0 < lo < hi")
-    if points < 2:
-        raise ValueError("points must be >= 2")
+    if not isinstance(points, (int, np.integer)) or points < 2:
+        raise ValueError("points must be an integer >= 2")
     gammas = np.linspace(lo, hi, points)
     spectra = eigh(np.stack([reduced_hamiltonian(spec, gamma) for gamma in gammas]))
     curves = {tag: overlaps(spectra, probe_state(spec, tag)) for tag in PROBE_TAGS}
@@ -146,6 +146,8 @@ def find_crossing(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not 0 <= rel_tol < 1:
+        raise ValueError(f"rel_tol must satisfy 0 <= rel_tol < 1; got {rel_tol!r}")
     probe_vec = probe_state(spec, probe)
 
     def diff(gamma: float) -> float:

@@ -18,16 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DEFAULT_MARKED, CLASS_TAGS, GraphSpec, VertexId, classify_vertices
+from .graph import (
+    DEFAULT_MARKED,
+    GraphSpec,
+    _check_marked,
+    build_adjacency,
+    classify_vertices,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedBasis:
     """Orthonormal class basis: row k of ``matrix`` is the uniform superposition
-    over class CLASS_TAGS[k], as a full-space row vector."""
+    over class CLASS_TAGS[k], as a full-space row vector.  ``marked`` is the
+    marked vertex's dense index."""
 
     spec: GraphSpec
-    marked: VertexId
+    marked: int
     matrix: np.ndarray  # shape (7, N)
 
     def project(self, full_state: np.ndarray) -> np.ndarray:
@@ -45,13 +52,10 @@ class ReducedBasis:
         return self.matrix.T @ reduced_state
 
 
-def class_basis(spec: GraphSpec, marked: VertexId | None = None) -> ReducedBasis:
-    if marked is None:
-        marked = DEFAULT_MARKED
+def class_basis(spec: GraphSpec, marked: int = DEFAULT_MARKED) -> ReducedBasis:
     classes = classify_vertices(spec, marked)
     mat = np.zeros((7, spec.n_vertices))
-    for v, tag in classes.items():
-        mat[CLASS_TAGS.index(tag), v.index(spec.M)] = 1.0
+    mat[classes, np.arange(spec.n_vertices)] = 1.0
     mat /= np.sqrt(mat.sum(axis=1, keepdims=True))
     return ReducedBasis(spec=spec, marked=marked, matrix=mat)
 
@@ -112,16 +116,12 @@ def full_initial_state(spec: GraphSpec) -> np.ndarray:
 
 
 def full_hamiltonian(
-    spec: GraphSpec, gamma: float, marked: VertexId | None = None
+    spec: GraphSpec, gamma: float, marked: int = DEFAULT_MARKED
 ) -> np.ndarray:
     """Search generator -gamma * A - |marked><marked| on the full vertex space."""
-    from .graph import build_adjacency
-
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("gamma must be finite and > 0")
-    if marked is None:
-        marked = DEFAULT_MARKED
+    _check_marked(spec, marked)
     ham = -gamma * build_adjacency(spec)
-    k = marked.index(spec.M)
-    ham[k, k] -= 1.0
+    ham[marked, marked] -= 1.0
     return ham

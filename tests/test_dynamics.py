@@ -143,6 +143,16 @@ def test_run_schedule_rejects_bad_samples_per_stage():
     assert len(run_schedule(spec, two_stage_schedule(spec), np.int64(2)).times) == 5
 
 
+def test_peak_success_rejects_bad_grid_points():
+    spec = GraphSpec(20, 1.0)
+    for grid_points in (1, 2.5):
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            peak_success(spec, two_stage_schedule(spec), grid_points)
+    assert peak_success(spec, two_stage_schedule(spec), np.int64(2)) == peak_success(
+        spec, two_stage_schedule(spec), 2
+    )
+
+
 def test_stage_that_vanishes_in_global_time_is_refused():
     spec = GraphSpec(1000, 1.0)
     (gamma1, _), (gamma2, t2) = two_stage_schedule(spec)

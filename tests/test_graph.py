@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from simplexwalk import (
+    CLASS_TAGS,
     GraphSpec,
-    VertexId,
     algebraic_connectivity,
     build_adjacency,
     class_sizes,
     classify_vertices,
     edge_census,
     laplacian,
-    vertices,
 )
+from simplexwalk.graph import _cluster_port, _partner
 
 
 def test_spec_validation():
@@ -36,14 +36,28 @@ def test_spec_validation():
     assert type(spec.M) is int
 
 
-def test_vertex_index_roundtrip():
+def test_cluster_port_index_arithmetic():
     M = 6
-    ids = list(vertices(M))
-    assert len(ids) == M * (M + 1)
-    assert [v.index(M) for v in ids] == list(range(M * (M + 1)))
-    assert all(VertexId.from_index(M, v.index(M)) == v for v in ids)
-    with pytest.raises(ValueError):
-        VertexId(2, 2)
+    cluster, port = _cluster_port(M)
+    assert len(cluster) == M * (M + 1)
+    assert np.all(cluster != port)
+    # each cluster's M ports are the other M clusters, in ascending order
+    for i in range(M + 1):
+        assert list(port[cluster == i]) == [j for j in range(M + 1) if j != i]
+    idx = np.arange(M * (M + 1))
+    assert np.array_equal(cluster * M + port - (port > cluster), idx)
+
+
+def test_partner_is_fixed_point_free_involution_into_port_cluster():
+    M = 6
+    cluster, port = _cluster_port(M)
+    partner = _partner(M)
+    idx = np.arange(M * (M + 1))
+    assert np.array_equal(np.sort(partner), idx)
+    assert np.all(partner != idx)
+    assert np.array_equal(partner[partner], idx)
+    assert np.array_equal(cluster[partner], port)
+    assert np.array_equal(port[partner], cluster)
 
 
 def test_adjacency_m3_w2_edge_counts():
@@ -82,7 +96,7 @@ def test_equal_superposition_is_adjacency_eigenvector(M, w):
 
 
 def test_class_sizes_m3():
-    sizes = Counter(classify_vertices(GraphSpec(3, 2.0)).values())
+    sizes = Counter(CLASS_TAGS[k] for k in classify_vertices(GraphSpec(3, 2.0)))
     assert dict(sizes) == {"a": 1, "b": 2, "c": 1, "d": 2, "e": 2, "f": 2, "g": 2}
     assert dict(sizes) == class_sizes(3)
 
@@ -91,7 +105,7 @@ def test_classify_m5_against_adjacency_walk():
     # Oracle: reconstruct the classes purely by walking the adjacency matrix
     # outward from the marked vertex (w = 2 so the two edge kinds differ).
     spec = GraphSpec(5, 2.0)
-    marked = VertexId(0, 1)
+    marked = 0  # vertex (0, 1)
     adj = build_adjacency(spec)
     n = spec.n_vertices
 
@@ -101,7 +115,7 @@ def test_classify_m5_against_adjacency_walk():
     def light(i):
         return {j for j in range(n) if adj[i, j] == 1.0}
 
-    a = marked.index(spec.M)
+    a = marked
     (c,) = heavy(a)
     b = light(a)
     d = light(c)
@@ -113,18 +127,17 @@ def test_classify_m5_against_adjacency_walk():
         expected.update({i: tag for i in members})
 
     classes = classify_vertices(spec, marked)
-    assert {v.index(spec.M): tag for v, tag in classes.items()} == expected
-    # c is the unique weight-w neighbor of the marked vertex
-    assert classes[VertexId(1, 0)] == "c"
-    assert {v for v, t in classes.items() if t == "e"} == {
-        VertexId(k, 0) for k in range(2, 6)
-    }
+    assert {i: CLASS_TAGS[k] for i, k in enumerate(classes)} == expected
+    # c is the unique weight-w neighbor of the marked vertex: (1, 0), index 5
+    assert CLASS_TAGS[classes[5]] == "c"
+    # e is the vertices (k, 0) for k = 2..5, index 5k
+    assert set(np.flatnonzero(classes == CLASS_TAGS.index("e"))) == {5 * k for k in range(2, 6)}
 
 
 def test_class_size_multiset_independent_of_marked_vertex():
     spec = GraphSpec(4, 2.0)
-    for marked in vertices(4):
-        sizes = Counter(classify_vertices(spec, marked).values())
+    for marked in range(spec.n_vertices):
+        sizes = Counter(CLASS_TAGS[k] for k in classify_vertices(spec, marked))
         assert dict(sizes) == class_sizes(4)
 
 

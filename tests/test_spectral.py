@@ -169,16 +169,23 @@ def test_sweep_rejects_bad_range():
     for bad_range in ((0.3, 0.1), (0.1, np.inf), (0.1, np.nan)):
         with pytest.raises(ValueError):
             gamma_sweep(GraphSpec(5, 1.0), bad_range, 10)
-    with pytest.raises(ValueError):
-        gamma_sweep(GraphSpec(5, 1.0), (0.1, 0.3), 1)
+    for points in (1, 2.5):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            gamma_sweep(GraphSpec(5, 1.0), (0.1, 0.3), points)
+    assert len(gamma_sweep(GraphSpec(5, 1.0), (0.1, 0.3), np.int64(2)).gammas) == 2
 
 
-def test_find_crossing_stage1():
+def test_find_crossing_stage1(monkeypatch):
     gamma = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025))
     assert gamma == pytest.approx(0.002, rel=0.05)
     # a tolerance below float resolution stops there instead of looping
     finest = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025), 0.0)
     assert finest == pytest.approx(gamma, rel=1e-9)
+    # a tolerance outside [0, 1) is refused before any eigensolve
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    for rel_tol in (np.nan, np.inf, 1.0, -1e-10):
+        with pytest.raises(ValueError, match="rel_tol"):
+            find_crossing(GraphSpec(20, 1.0), "s", (0, 1), (0.05, 0.2), rel_tol)
 
 
 def test_find_crossing_stage1_w3():

@@ -5,8 +5,8 @@ import pytest
 
 from simplexwalk import (
     GraphSpec,
-    VertexId,
     class_basis,
+    classify_vertices,
     evolve,
     full_hamiltonian,
     full_initial_state,
@@ -88,7 +88,7 @@ def test_lift_of_marked_unit_vector_is_indicator():
     basis = class_basis(spec)
     lifted = basis.lift(np.eye(7)[0])
     expected = np.zeros(spec.n_vertices)
-    expected[VertexId(0, 1).index(4)] = 1.0
+    expected[0] = 1.0  # vertex (0, 1), the default marked vertex
     assert np.array_equal(lifted, expected)
 
 
@@ -163,7 +163,21 @@ def test_reduced_hamiltonian_identical_for_every_marked_vertex():
     spec = GraphSpec(4, 2.5)
     gamma = 0.5
     reference = reduced_hamiltonian(spec, gamma)
-    for marked in [VertexId(0, 1), VertexId(2, 3), VertexId(4, 0), VertexId(1, 4)]:
+    for marked in range(spec.n_vertices):
         basis = class_basis(spec, marked)
         projected = basis.matrix @ full_hamiltonian(spec, gamma, marked) @ basis.matrix.T
         assert np.max(np.abs(projected - reference)) <= 1e-10
+
+
+def test_marked_must_be_a_vertex_index():
+    spec = GraphSpec(4, 2.5)
+    builds = (
+        lambda marked: classify_vertices(spec, marked),
+        lambda marked: class_basis(spec, marked),
+        lambda marked: full_hamiltonian(spec, 0.5, marked),
+    )
+    for build in builds:
+        for marked in (-1, spec.n_vertices, 1.5):
+            with pytest.raises(ValueError, match="marked"):
+                build(marked)
+    assert class_basis(spec, np.int64(19)).marked == 19
