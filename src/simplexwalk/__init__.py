@@ -26,8 +26,8 @@ from .graph import (
     build_adjacency,
     class_sizes,
     classify_vertices,
+    connectivity_and_norm,
     edge_census,
-    laplacian,
 )
 from .spectral import (
     NoCrossingError,
@@ -79,6 +79,7 @@ __all__ = [
     "class_basis",
     "class_sizes",
     "classify_vertices",
+    "connectivity_and_norm",
     "edge_census",
     "eigh",
     "evolve",
@@ -87,7 +88,6 @@ __all__ = [
     "full_initial_state",
     "gamma_c1_exact",
     "gamma_sweep",
-    "laplacian",
     "optimal_stage1_duration",
     "overlaps",
     "peak_success",

@@ -54,9 +54,11 @@ def _tolerance(floor: float, scale: float) -> float:
     return max(floor, 100 * np.finfo(float).eps * scale)
 
 
-def _json_value(x):
+def _json_value(key: str, x):
     if isinstance(x, (int, np.integer)):
         return int(x)
+    if not np.isfinite(x):
+        raise ValueError(f"{key} is {x} at this input, and JSON has no non-finite numbers")
     return float(_fmt(float(x)))
 
 
@@ -80,7 +82,7 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
 
 
 def _json_doc(payload: dict) -> str:
-    return json.dumps({k: _json_value(v) for k, v in payload.items()}, indent=2) + "\n"
+    return json.dumps({k: _json_value(k, v) for k, v in payload.items()}, indent=2) + "\n"
 
 
 def _csv_doc(comments: list[str], header: str, columns) -> str:
@@ -113,12 +115,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _schedule_from_args(args: argparse.Namespace, spec: graph.GraphSpec) -> list[Stage]:
-    pred = theory.predict(spec)
-    gamma1 = pred.gamma_c1 if args.gamma1 is None else args.gamma1
-    gamma2 = pred.gamma_c2 if args.gamma2 is None else args.gamma2
-    t1 = pred.t1 if args.t1 is None else args.t1
-    t2 = pred.t2 if args.t2 is None else args.t2
-    return [Stage(gamma1, t1), Stage(gamma2, t2)]
+    given = [(args.gamma1, args.t1), (args.gamma2, args.t2)]
+    return [
+        Stage(gamma if gamma_arg is None else gamma_arg, t if t_arg is None else t_arg)
+        for (gamma, t), (gamma_arg, t_arg) in zip(dynamics.two_stage_schedule(spec), given)
+    ]
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -213,16 +214,19 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
-    adj = graph.build_adjacency(spec)
-    lam_max = float(np.linalg.eigvalsh(adj)[-1])
-    lam1 = float(np.linalg.eigvalsh(graph.laplacian(adj))[1])
+    if spec.M > 100:
+        raise UsageError(
+            "connectivity builds the dense N x N adjacency and is limited to "
+            f"M <= 100 (N <= 10100); got M={spec.M} (N={spec.n_vertices})"
+        )
+    lam1, op_norm = graph.connectivity_and_norm(spec)
     degree = spec.M - 1 + spec.w
     payload = {
         "M": spec.M,
         "w": spec.w,
         "lambda1": lam1,
         "lambda1_closed_form": theory.algebraic_connectivity_formula(spec.M, spec.w),
-        "op_norm": lam_max,
+        "op_norm": op_norm,
         "op_norm_closed_form": spec.M + spec.w - 1.0,
         "normalized_connectivity": lam1 / degree,
     }
@@ -234,8 +238,7 @@ def cmd_width(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
     if args.offsets < 3 or args.offsets % 2 == 0:
         raise UsageError("offsets must be an odd integer >= 3")
-    pred = theory.predict(spec)
-    gamma_c = pred.gamma_c1 if args.stage == 1 else pred.gamma_c2
+    gamma_c = dynamics.two_stage_schedule(spec)[args.stage - 1].gamma
     scale = spec.M ** -1.5
     lo = args.eps_lo if args.eps_lo is not None else 1e-3 * scale
     hi = args.eps_hi if args.eps_hi is not None else min(1e2 * scale, 0.5 * gamma_c)

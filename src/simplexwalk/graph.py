@@ -180,22 +180,17 @@ def edge_census(spec: GraphSpec, classes: np.ndarray) -> dict[tuple[str, str, st
     return counts
 
 
-def laplacian(adj: np.ndarray) -> np.ndarray:
-    """Graph Laplacian (weighted-degree diagonal minus adjacency)."""
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError("adjacency must be a square matrix")
-    if not np.array_equal(adj, adj.T):
-        raise ValueError("adjacency must be symmetric")
-    if np.any(adj < 0):
-        raise ValueError("adjacency entries must be nonnegative")
-    if np.any(np.diag(adj) != 0):
-        raise ValueError("adjacency diagonal must be zero")
-    lap = -adj.copy()
-    np.fill_diagonal(lap, adj.sum(axis=1))
-    return lap
+def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
+    """Algebraic connectivity lambda1 and norm ||A|| from one eigensolve of A.
+
+    Every vertex has weighted degree d = M - 1 + w, so the Laplacian is
+    d I - A: lambda1 is the gap lambda_max(A) - lambda_2(A) between the two
+    largest adjacency eigenvalues, and ||A|| = lambda_max(A) = d.
+    """
+    lam = np.linalg.eigvalsh(build_adjacency(spec))
+    return float(lam[-1] - lam[-2]), float(lam[-1])
 
 
 def algebraic_connectivity(spec: GraphSpec) -> float:
     """Second-smallest eigenvalue of the graph Laplacian, computed densely."""
-    lam = np.linalg.eigvalsh(laplacian(build_adjacency(spec)))
-    return float(lam[1])
+    return connectivity_and_norm(spec)[0]

@@ -61,8 +61,9 @@ class Prediction:
 
 def radicands(M: int, w: float, gamma: float) -> tuple[float, float]:
     """R_u(gamma) and R_v; both are nonnegative for M >= 3, w > 0, gamma > 0."""
-    r_u = 1 + 4 * gamma - 2 * M * gamma + 4 * gamma**2 + M**2 * gamma**2
-    r_v = 9 + 2 * M + M**2 - 6 * w + 2 * M * w + w**2
+    # x * x, not x**2: a huge w or gamma then overflows to inf instead of raising
+    r_u = 1 + 4 * gamma - 2 * M * gamma + 4 * (gamma * gamma) + M * M * (gamma * gamma)
+    r_v = 9 + 2 * M + M * M - 6 * w + 2 * M * w + w * w
     return r_u, r_v
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from simplexwalk import graph
 from simplexwalk.cli import _csv_doc, _fmt, main
 
 
@@ -114,6 +115,18 @@ def test_evolve_w3_stage_boundary(capsys):
     assert "# stage_end_times: 12418.2353322," in out
 
 
+def test_evolve_overrides_land_in_their_stage(capsys):
+    # each given value replaces only its own default from two_stage_schedule
+    for argv, stages in (
+        (["--gamma1", "0.0021", "--t2", "60"],
+         "gamma_1=0.0021 t_1=24836.4706645 gamma_2=0.001 t_2=60"),
+        (["--gamma2", "0.0011", "--t1", "20000"],
+         "gamma_1=0.002 t_1=20000 gamma_2=0.0011 t_2=49.672941329"),
+    ):
+        _, out, _ = _run(capsys, "evolve", "--M", "1000", "--samples", "2", *argv)
+        assert f"# stages: {stages}\n" in out
+
+
 def test_evolve_rejects_negative_duration(capsys):
     for flag, value in (("--t1", "-5"), ("--t1", "inf"), ("--t2", "nan"),
                         ("--t1", "1e300")):
@@ -197,6 +210,57 @@ def test_connectivity_json(capsys):
     assert payload["normalized_connectivity"] == pytest.approx(
         payload["lambda1"] / 7.5, rel=1e-9
     )
+
+
+def test_connectivity_makes_one_eigensolve(capsys, monkeypatch):
+    calls = []
+
+    def counted(solver):
+        original = getattr(np.linalg, solver)
+
+        def call(matrix, *args, **kwargs):
+            calls.append((solver, np.shape(matrix)))
+            return original(matrix, *args, **kwargs)
+
+        return call
+
+    for solver in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, solver, counted(solver))
+    code, _, _ = _run(capsys, "connectivity", "--M", "6", "--w", "2.5")
+    assert code == 0
+    assert calls == [("eigvalsh", (42, 42))]
+
+
+@pytest.mark.parametrize("M", ["101", "1000"])
+def test_connectivity_refuses_large_m_before_building(capsys, monkeypatch, M):
+    monkeypatch.setattr(graph, "build_adjacency", None)
+    code, out, err = _run(capsys, "connectivity", "--M", M)
+    _assert_refused(code, out, err)
+    assert "M <= 100" in err
+    assert f"N={int(M) * (int(M) + 1)}" in err
+
+
+@pytest.mark.filterwarnings("ignore:w=.* is not below sqrt")
+@pytest.mark.parametrize("argv", [
+    ["predict", "--M", "10", "--w", "1e160"],
+    ["connectivity", "--M", "3", "--w", "1e300"],
+])
+def test_nonfinite_json_value_is_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert "JSON has no non-finite numbers" in err
+
+
+@pytest.mark.filterwarnings("ignore:w=.* is not below sqrt")
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--M", "10", "--w", "1e160", "--samples", "3"],
+    ["width", "--M", "10", "--w", "1e160", "--stage", "1", "--offsets", "3"],
+])
+def test_huge_w_gives_finite_csv(capsys, argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    _, rows = _csv_rows(out)
+    assert rows and all(np.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_width_csv(capsys):

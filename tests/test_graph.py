@@ -10,11 +10,12 @@ from simplexwalk import (
     CLASS_TAGS,
     GraphSpec,
     algebraic_connectivity,
+    algebraic_connectivity_formula,
     build_adjacency,
     class_sizes,
     classify_vertices,
+    connectivity_and_norm,
     edge_census,
-    laplacian,
 )
 from simplexwalk.graph import _cluster_port, _partner
 
@@ -177,31 +178,41 @@ def test_census_sum_identities(M):
     assert weighted + unit == M * M * (M + 1) // 2
 
 
-def test_laplacian_diagonal_and_row_sums():
-    spec = GraphSpec(3, 2.0)
-    lap = laplacian(build_adjacency(spec))
-    assert np.all(np.diag(lap) == 4.0)
-    ones = np.ones(spec.n_vertices)
-    assert np.max(np.abs(lap @ ones)) <= 1e-10
-    assert np.linalg.eigvalsh(lap)[0] == pytest.approx(0.0, abs=1e-10)
-
-
-def test_laplacian_rejects_bad_input():
-    with pytest.raises(ValueError):
-        laplacian(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        laplacian(np.array([[1.0, 1.0], [1.0, 0.0]]))
-
-
 def test_laplacian_second_eigenvalue_m4_w2():
-    lam = np.linalg.eigvalsh(laplacian(build_adjacency(GraphSpec(4, 2.0))))
+    adj = build_adjacency(GraphSpec(4, 2.0))
+    lam = np.linalg.eigvalsh(np.diag(adj.sum(1)) - adj)
     # closed form (M + 2w - sqrt(M^2 - 4w + 4w^2)) / 2 at M=4, w=2
     assert lam[1] == pytest.approx(1.5505102572168221, abs=1e-9)
 
 
 def test_algebraic_connectivity_values():
     assert algebraic_connectivity(GraphSpec(4, 2.0)) == pytest.approx(
-        1.5505102572168221, abs=1e-8
+        1.5505102572168221, abs=1e-9
     )
     # the closed form collapses to exactly 1 whenever w = 1
     assert algebraic_connectivity(GraphSpec(10, 1.0)) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("M", range(3, 13))
+@pytest.mark.parametrize("w", [0.5, 1.0, 2.0, 5.0])
+def test_algebraic_connectivity_matches_laplacian_definition(M, w):
+    adj = build_adjacency(GraphSpec(M, w))
+    lam1 = np.linalg.eigvalsh(np.diag(adj.sum(1)) - adj)[1]
+    assert abs(algebraic_connectivity(GraphSpec(M, w)) - lam1) <= 1e-12
+
+
+def test_connectivity_and_norm_is_one_eigensolve(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix, *args, **kwargs):
+        sizes.append(np.shape(matrix))
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    spec = GraphSpec(6, 2.5)
+    lam1, op_norm = connectivity_and_norm(spec)
+    assert lam1 == pytest.approx(algebraic_connectivity_formula(6, 2.5), abs=1e-12)
+    assert op_norm == pytest.approx(7.5, abs=1e-12)
+    algebraic_connectivity(spec)
+    assert sizes == [(42, 42), (42, 42)]
