@@ -150,12 +150,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     gamma = args.gamma if args.gamma is not None else theory.predict(spec).gamma_c1
 
-    basis = subspace.class_basis(spec)
-    ham_full = subspace.full_hamiltonian(spec, gamma)
     ham_red = subspace.reduced_hamiltonian(spec, gamma)
     # Rounding grows with the generator's norm, bounded by gamma * ||A|| plus
     # the oracle's 1, and for an evolution also with the time.
     h_norm = gamma * (spec.M + spec.w - 1.0) + 1.0
+    evolution_tol = _tolerance(1e-8, 10.0 * h_norm)
+    # the leakage residual of a unit state never exceeds 1
+    if evolution_tol >= 1:
+        raise UsageError(
+            f"verify's evolution tolerance {_sci(evolution_tol)} at this gamma and w "
+            "is not below 1, so its dynamics and leakage checks could not fail"
+        )
+    basis = subspace.class_basis(spec)
+    ham_full = subspace.full_hamiltonian(spec, gamma)
     checks: list[tuple[str, bool, str]] = []
 
     projected = basis.matrix @ ham_full @ basis.matrix.T
@@ -171,9 +178,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         lifted = basis.lift(dynamics.evolve(ham_red, psi_red, t))
         full = dynamics.evolve(ham_full, psi_full, t)
         dyn_dev = max(dyn_dev, float(np.linalg.norm(full - lifted)))
-    tol = _tolerance(1e-8, 10.0 * h_norm)
-    checks.append(("dynamics", dyn_dev <= tol,
-                   f"max full-vs-reduced state deviation = {dyn_dev:.3e} (tol {_sci(tol)})"))
+    checks.append(("dynamics", dyn_dev <= evolution_tol,
+                   f"max full-vs-reduced state deviation = {dyn_dev:.3e} "
+                   f"(tol {_sci(evolution_tol)})"))
 
     leakage = 0.0
     for k in range(7):
@@ -181,8 +188,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         evolved = dynamics.evolve(ham_full, lifted, 10.0)
         residual = evolved - basis.matrix.T @ (basis.matrix @ evolved)
         leakage = max(leakage, float(np.linalg.norm(residual)))
-    checks.append(("leakage", leakage <= tol,
-                   f"max out-of-subspace leakage = {leakage:.3e} (tol {_sci(tol)})"))
+    checks.append(("leakage", leakage <= evolution_tol,
+                   f"max out-of-subspace leakage = {leakage:.3e} (tol {_sci(evolution_tol)})"))
 
     census = graph.edge_census(spec, graph.classify_vertices(spec))
     census_ok = census == theory.census_formulas(spec.M)
@@ -214,10 +221,10 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
-    if spec.M > 100:
+    if spec.M > 1000:
         raise UsageError(
-            "connectivity builds the dense N x N adjacency and is limited to "
-            f"M <= 100 (N <= 10100); got M={spec.M} (N={spec.n_vertices})"
+            "connectivity is limited to M <= 1000 (N <= 1001000); "
+            f"got M={spec.M} (N={spec.n_vertices})"
         )
     lam1, op_norm = graph.connectivity_and_norm(spec)
     degree = spec.M - 1 + spec.w

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from simplexwalk import graph
+from simplexwalk import graph, subspace
 from simplexwalk.cli import _csv_doc, _fmt, main
 
 
@@ -212,7 +212,7 @@ def test_connectivity_json(capsys):
     )
 
 
-def test_connectivity_makes_one_eigensolve(capsys, monkeypatch):
+def test_connectivity_runs_lanczos_without_a_dense_eigensolve(capsys, monkeypatch):
     calls = []
 
     def counted(solver):
@@ -224,20 +224,58 @@ def test_connectivity_makes_one_eigensolve(capsys, monkeypatch):
 
         return call
 
+    monkeypatch.setattr(graph, "build_adjacency", None)
     for solver in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, solver, counted(solver))
     code, _, _ = _run(capsys, "connectivity", "--M", "6", "--w", "2.5")
     assert code == 0
-    assert calls == [("eigvalsh", (42, 42))]
+    # one eigvalsh of the k x k Lanczos tridiagonal matrix per step k
+    assert 2 <= len(calls) <= 8
+    assert calls == [("eigvalsh", (k, k)) for k in range(1, len(calls) + 1)]
 
 
-@pytest.mark.parametrize("M", ["101", "1000"])
+@pytest.mark.parametrize("M", ["1001", "10000"])
 def test_connectivity_refuses_large_m_before_building(capsys, monkeypatch, M):
-    monkeypatch.setattr(graph, "build_adjacency", None)
+    monkeypatch.setattr(graph, "_apply_adjacency", None)
     code, out, err = _run(capsys, "connectivity", "--M", M)
     _assert_refused(code, out, err)
-    assert "M <= 100" in err
-    assert f"N={int(M) * (int(M) + 1)}" in err
+    assert "M <= 1000" in err
+    assert f"M={M} (N={int(M) * (int(M) + 1)})" in err
+
+
+def test_connectivity_accepts_m_beyond_the_dense_limit(capsys):
+    code, out, _ = _run(capsys, "connectivity", "--M", "101", "--w", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda1"] == pytest.approx(payload["lambda1_closed_form"], abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:w=.* is not below sqrt")
+def test_verify_refuses_a_tolerance_that_cannot_fail(capsys, monkeypatch):
+    # ||H|| ~ 2e13, so the evolution tolerance 100 eps 10 ||H|| is 4.44 while
+    # the leakage of a unit state never exceeds 1
+    monkeypatch.setattr(subspace, "class_basis", None)
+    monkeypatch.setattr(subspace, "full_hamiltonian", None)
+    code, out, err = _run(capsys, "verify", "--M", "5", "--w", "1e14")
+    _assert_refused(code, out, err)
+    assert "tolerance 4.44e+0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--M", str(2**53 + 1)],
+    ["predict", "--M", "1" + "0" * 320],
+    ["evolve", "--M", "1" + "0" * 160, "--samples", "3"],
+])
+def test_m_beyond_float64_integers_is_refused(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert "M <= 2**53" in err
+
+
+def test_predict_accepts_the_largest_float64_integer(capsys):
+    code, out, _ = _run(capsys, "predict", "--M", str(2**53))
+    assert code == 0
+    assert json.loads(out)["M"] == 2**53
 
 
 @pytest.mark.filterwarnings("ignore:w=.* is not below sqrt")

@@ -17,7 +17,8 @@ from simplexwalk import (
     connectivity_and_norm,
     edge_census,
 )
-from simplexwalk.graph import _cluster_port, _partner
+from simplexwalk import graph
+from simplexwalk.graph import _apply_adjacency, _cluster_port, _partner
 
 
 def test_spec_validation():
@@ -35,6 +36,14 @@ def test_spec_validation():
     spec = GraphSpec(np.int64(1000), 1.0)
     assert spec == GraphSpec(1000, 1.0)
     assert type(spec.M) is int
+
+
+def test_spec_refuses_m_beyond_float64_integers():
+    # 2**53 is the largest integer that float64 holds exactly
+    assert GraphSpec(2**53, 1.0).M == 2**53
+    for M in (2**53 + 1, np.uint64(2**53 + 1), 10**320):
+        with pytest.raises(ValueError, match=r"M <= 2\*\*53"):
+            GraphSpec(M, 1.0)
 
 
 def test_cluster_port_index_arithmetic():
@@ -201,7 +210,48 @@ def test_algebraic_connectivity_matches_laplacian_definition(M, w):
     assert abs(algebraic_connectivity(GraphSpec(M, w)) - lam1) <= 1e-12
 
 
-def test_connectivity_and_norm_is_one_eigensolve(monkeypatch):
+@pytest.mark.parametrize("M", range(3, 13))
+@pytest.mark.parametrize("w", [0.5, 1.0, 2.0, 5.0])
+def test_apply_adjacency_matches_dense_product(M, w):
+    spec = GraphSpec(M, w)
+    x = np.random.default_rng(M).standard_normal(spec.n_vertices)
+    dense = build_adjacency(spec) @ x
+    assert np.linalg.norm(_apply_adjacency(spec, x) - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("M", [3, 10, 30, 100, 300])
+@pytest.mark.parametrize("w", [1e-9, 1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e6, 1e9])
+def test_connectivity_and_norm_matches_closed_forms(M, w):
+    lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
+    exact_norm = M - 1 + w
+    assert abs(lam1 - algebraic_connectivity_formula(M, w)) <= 50 * _EPS * exact_norm
+    assert abs(op_norm - exact_norm) <= 50 * _EPS * exact_norm
+
+
+@pytest.mark.parametrize("M", [3, 10])
+@pytest.mark.parametrize("w", [1e16, 1e300])
+def test_connectivity_and_norm_keeps_lambda_max_apart_at_huge_w(M, w):
+    # lambda_max - lambda_2 = lambda1 ~ (M + 1) / 2 is below rounding of ||A||
+    # here; one Krylov space holding the all-ones vector would merge the two
+    # and report lambda1 ~ 2 ||A||
+    lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
+    assert op_norm == pytest.approx(M - 1 + w, rel=1e-15)
+    assert abs(lam1 - (M + 1) / 2) <= 50 * _EPS * op_norm
+
+
+@pytest.mark.parametrize("M, w", [(100, 0.5), (300, 1e6)])
+def test_connectivity_and_norm_is_deterministic(M, w):
+    # from an unseeded start vector, these would differ in the last bits
+    spec = GraphSpec(M, w)
+    assert connectivity_and_norm(spec) == connectivity_and_norm(spec)
+
+
+def test_connectivity_and_norm_is_matrix_free_lanczos(monkeypatch):
+    # no dense adjacency and no eigh; one eigvalsh of the k x k tridiagonal
+    # matrix per Lanczos step k = 1, 2, ...
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -209,10 +259,21 @@ def test_connectivity_and_norm_is_one_eigensolve(monkeypatch):
         sizes.append(np.shape(matrix))
         return eigvalsh(matrix, *args, **kwargs)
 
+    monkeypatch.setattr(graph, "build_adjacency", None)
+    monkeypatch.setattr(np.linalg, "eigh", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    spec = GraphSpec(6, 2.5)
-    lam1, op_norm = connectivity_and_norm(spec)
-    assert lam1 == pytest.approx(algebraic_connectivity_formula(6, 2.5), abs=1e-12)
-    assert op_norm == pytest.approx(7.5, abs=1e-12)
-    algebraic_connectivity(spec)
-    assert sizes == [(42, 42), (42, 42)]
+    for M, w in [(6, 2.5), (30, 1e-9), (100, 0.5), (300, 1.0), (300, 1e6)]:
+        sizes.clear()
+        lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
+        assert abs(lam1 - algebraic_connectivity_formula(M, w)) <= 50 * _EPS * op_norm
+        assert 2 <= len(sizes) <= 8
+        assert sizes == [(k, k) for k in range(1, len(sizes) + 1)]
+    sizes.clear()
+    algebraic_connectivity(GraphSpec(6, 2.5))
+    assert 2 <= len(sizes) <= 8
+
+
+def test_connectivity_and_norm_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(graph, "_LANCZOS_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+        connectivity_and_norm(GraphSpec(6, 2.5))
