@@ -15,6 +15,7 @@ ValueError; its message is printed as "error: <message>".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,7 @@ from .dynamics import Stage
 _SWEEP_POINTS = 500
 _EVOLVE_SAMPLES = 2000
 _WIDTH_OFFSETS = 41
+_CSV_BLOCK_ROWS = 256
 
 
 class UsageError(Exception):
@@ -87,10 +89,16 @@ def _json_doc(payload: dict) -> str:
 
 def _csv_doc(comments: list[str], header: str, columns) -> str:
     """Comment lines, the header, then one row of ``_fmt`` cells per row of
-    the columns (1-D arrays, or 2-D blocks of adjacent columns)."""
-    rows = np.column_stack(columns).tolist()
-    row_fmt = ",".join(["%.12g"] * len(rows[0]))
-    return "\n".join(comments + [header] + [row_fmt % tuple(row) for row in rows]) + "\n"
+    the columns (1-D arrays, or 2-D blocks of adjacent columns).  One ``%``
+    formats each block of ``_CSV_BLOCK_ROWS`` rows: one for the whole
+    document raised the peak RSS of long series.  Comments never pass it."""
+    table = np.column_stack(columns)
+    row_fmt = ",".join(["%.12g"] * table.shape[1])
+    lines = comments + [header]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -264,6 +272,8 @@ def cmd_width(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexwalk",

@@ -230,12 +230,25 @@ def peak_success(
     return _peak(_Propagator(spec, schedule), grid_points)
 
 
+def _peak_grid(boundaries: np.ndarray, grid_points: int) -> np.ndarray:
+    """``np.unique`` of a uniform grid over the schedule and its boundaries,
+    with no sort: each new boundary goes in at its ``searchsorted`` position."""
+    grid = np.linspace(0.0, boundaries[-1], grid_points)
+    if not (grid[1:] > grid[:-1]).all():  # a zero or subnormal-range total
+        grid = np.unique(grid)
+    pieces, start = [], 0
+    for b in dict.fromkeys(boundaries.tolist()):
+        i = int(grid.searchsorted(b))
+        if grid[i] != b:
+            pieces += [grid[start:i], [b]]
+            start = i
+    return np.concatenate(pieces + [grid[start:]])
+
+
 def _peak(prop: _Propagator, grid_points: int) -> tuple[float, float]:
     """``peak_success`` on an already built propagator."""
     total = prop.boundaries[-1]
-    times = np.unique(
-        np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
-    )
+    times = _peak_grid(prop.boundaries, grid_points)
     values = np.full(times.shape, -np.inf)
     pieces = prop.stage_slices(times)
     bounds = prop.amplitude_bounds(0)

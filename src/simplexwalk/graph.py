@@ -183,12 +183,11 @@ def edge_census(spec: GraphSpec, classes: np.ndarray) -> dict[tuple[str, str, st
     return counts
 
 
-def _apply_adjacency(spec: GraphSpec, x: np.ndarray) -> np.ndarray:
+def _apply_adjacency(spec: GraphSpec, x: np.ndarray, partner: np.ndarray) -> np.ndarray:
     """A @ x without building A: within each cluster, the cluster's sum
-    minus x; across clusters, w times x at the weight-w partner."""
-    M = spec.M
-    clusters = x.reshape(M + 1, M)
-    return (clusters.sum(axis=1, keepdims=True) - clusters).ravel() + spec.w * x[_partner(M)]
+    minus x; across clusters, w times ``x[partner]``, ``partner = _partner(M)``."""
+    clusters = x.reshape(spec.M + 1, spec.M)
+    return (clusters.sum(axis=1, keepdims=True) - clusters).ravel() + spec.w * x[partner]
 
 
 #: Lanczos steps allowed before connectivity_and_norm gives up.  A has five
@@ -239,7 +238,8 @@ def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
     """
     n = spec.n_vertices
     degree = spec.M - 1 + spec.w
-    lam_max = float(np.mean(_apply_adjacency(spec, np.ones(n))))
+    partner = _partner(spec.M)
+    lam_max = float(np.mean(_apply_adjacency(spec, np.ones(n), partner)))
     basis = np.empty((_LANCZOS_MAX_STEPS + 1, n))
     basis[0] = 1 / math.sqrt(n)
     r = _orthogonalise(np.random.default_rng(0).standard_normal(n), basis[:1])
@@ -247,7 +247,7 @@ def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
     beta: list[float] = []
     for k in range(1, len(basis)):
         basis[k] = r / np.linalg.norm(r)
-        r = _apply_adjacency(spec, basis[k]) / degree
+        r = _apply_adjacency(spec, basis[k], partner) / degree
         alpha.append(float(basis[k] @ r))
         r = _orthogonalise(r, basis[: k + 1])
         beta.append(float(np.linalg.norm(r)))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import GraphSpec
-from .subspace import reduced_hamiltonian, reduced_initial_state
+from .subspace import reduced_adjacency, reduced_hamiltonian, reduced_initial_state
 
 PROBE_TAGS = ("s", "a", "b")
 
@@ -101,7 +101,9 @@ def gamma_sweep(
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise ValueError("points must be an integer >= 2")
     gammas = np.linspace(lo, hi, points)
-    spectra = eigh(np.stack([reduced_hamiltonian(spec, gamma) for gamma in gammas]))
+    stack = -gammas[:, None, None] * reduced_adjacency(spec)
+    stack[:, 0, 0] -= 1.0  # reduced_hamiltonian at each gamma, bit for bit
+    spectra = eigh(stack)
     curves = {tag: overlaps(spectra, probe_state(spec, tag)) for tag in PROBE_TAGS}
     return SweepResult(spec=spec, gammas=gammas, curves=curves)
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from simplexwalk import graph, subspace
+from simplexwalk import cli, graph, subspace
 from simplexwalk.cli import _csv_doc, _fmt, main
 
 
@@ -189,6 +189,26 @@ def test_csv_doc_cells_match_fmt():
     assert rows == [f"{_fmt(x)},{_fmt(y)}" for x, y in zip(values, values[::-1])]
 
 
+def _per_row_csv_doc(comments, header, columns):
+    """The per-row formatter that ``_csv_doc`` replaced, kept as its reference."""
+    rows = np.column_stack(columns).tolist()
+    row_fmt = ",".join(["%.12g"] * len(rows[0]))
+    return "\n".join(comments + [header] + [row_fmt % tuple(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 10_001])
+@pytest.mark.parametrize("width", [4, 22])
+def test_csv_doc_blocks_match_the_per_row_formatter(rows, width):
+    rng = np.random.default_rng(rows + width)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+    table[rng.random((rows, width)) < 0.01] = np.nan
+    comments = ["# 100% of % signs stay %s literal", "# second"]
+    columns = [table[:, 0], table[:, 1:]]
+    doc = _csv_doc(comments, "h,%d", columns)
+    assert doc == _per_row_csv_doc(comments, "h,%d", columns)
+    assert doc.count("\n") == rows + 3
+
+
 def test_census_output(capsys):
     code, out, _ = _run(capsys, "census", "--M", "5")
     assert code == 0
@@ -360,3 +380,24 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_cached_parser_leaks_no_state_between_calls(capsys):
+    # overrides and optional flags of one call must not reach the next
+    common = ["--M", "200", "--w", "1.5"]
+    calls = [
+        ["evolve", "--gamma1", "0.004", "--samples", "40"] + common,
+        ["evolve", "--samples", "40"] + common,
+        ["width", "--stage", "2", "--offsets", "7", "--eps-lo", "1e-6"] + common,
+        ["width", "--stage", "2", "--offsets", "7"] + common,
+        ["evolve", "--bogus"] + common,
+        ["sweep", "--lo", "0.001", "--hi", "0.01", "--points", "30"] + common,
+    ]
+    cli._build_parser.cache_clear()
+    cached = [_run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    for argv, result in zip(calls, cached):
+        cli._build_parser.cache_clear()
+        assert _run(capsys, *argv) == result
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 0]
+    assert cached[0][1] != cached[1][1] and cached[2][1] != cached[3][1]

@@ -215,6 +215,29 @@ def _full_grid_peak(spec, schedule, grid_points):
     return dynamics._grid_max(prob, times, prob(times), 1e-6 * total)
 
 
+@pytest.mark.parametrize("durations, grid_points", [
+    ([7.0, 0.0, 3.0], 10_000),          # a zero-duration stage
+    ([3.0, 1.0], 5),                    # a boundary on a grid point
+    ([3.0, 1.0], 10_000),
+    ([1.5, 0.25, 2.0, 1e-3], 10_000),   # four stages, two boundaries in one cell
+    ([24836.47, 49.67], 10_000),        # the two-stage schedule at M = 1000
+    ([0.0, 0.0], 10_000),               # zero total: the grid is one point
+    ([13 * 5e-324], 9),                 # subnormal total: linspace overshoots
+    ([5e-324], 3),                      # subnormal total: linspace repeats
+])
+def test_peak_grid_equals_the_sorted_union(monkeypatch, durations, grid_points):
+    boundaries = np.concatenate([[0.0], np.cumsum(durations)])
+    expected = np.unique(
+        np.concatenate([np.linspace(0.0, boundaries[-1], grid_points), boundaries])
+    )
+    times = dynamics._peak_grid(boundaries, grid_points)
+    assert times.dtype == expected.dtype and times.tobytes() == expected.tobytes()
+    if boundaries[-1] > 1e-300:
+        monkeypatch.setattr(np, "unique", None)
+        monkeypatch.setattr(np, "sort", None)
+        assert dynamics._peak_grid(boundaries, grid_points).tobytes() == times.tobytes()
+
+
 def _critical_rates(M=1000, w=1.0):
     spec = GraphSpec(M, w)
     (gamma1, t1), (gamma2, t2) = two_stage_schedule(spec)

@@ -216,7 +216,8 @@ def test_apply_adjacency_matches_dense_product(M, w):
     spec = GraphSpec(M, w)
     x = np.random.default_rng(M).standard_normal(spec.n_vertices)
     dense = build_adjacency(spec) @ x
-    assert np.linalg.norm(_apply_adjacency(spec, x) - dense) <= 1e-12 * np.linalg.norm(dense)
+    product = _apply_adjacency(spec, x, _partner(M))
+    assert np.linalg.norm(product - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 _EPS = np.finfo(float).eps
@@ -277,3 +278,18 @@ def test_connectivity_and_norm_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(graph, "_LANCZOS_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
         connectivity_and_norm(GraphSpec(6, 2.5))
+
+
+def test_connectivity_and_norm_builds_the_partner_permutation_once(monkeypatch):
+    # the gather index is built per call, not per matrix-vector product
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return _partner(M)
+
+    monkeypatch.setattr(graph, "_partner", counting)
+    for M, w in [(6, 2.5), (100, 0.5)]:
+        calls.clear()
+        connectivity_and_norm(GraphSpec(M, w))
+        assert calls == [M]

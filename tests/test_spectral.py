@@ -12,6 +12,7 @@ from simplexwalk import (
     overlaps,
     probe_state,
     reduced_hamiltonian,
+    spectral,
 )
 
 
@@ -144,6 +145,28 @@ def test_sweep_equals_per_gamma_loop():
             [overlaps(eigh(reduced_hamiltonian(spec, g)), probe) for g in result.gammas]
         )
         assert np.array_equal(result.curves[tag], loop)
+
+
+@pytest.mark.parametrize("M, w, gamma_range", [
+    (1000, 3.0, (0.0005, 0.003)), (10, 0.5, (1e-3, 2.0)), (5000, 1.0, (1e-7, 1e-3)),
+])
+def test_sweep_stack_is_the_scalar_hamiltonians_without_calling_them(
+    monkeypatch, M, w, gamma_range
+):
+    spec = GraphSpec(M, w)
+    stacks = []
+
+    def capturing_eigh(matrix):
+        stacks.append(matrix)
+        return eigh(matrix)
+
+    monkeypatch.setattr(spectral, "eigh", capturing_eigh)
+    monkeypatch.setattr(spectral, "reduced_hamiltonian", None)
+    result = gamma_sweep(spec, gamma_range, 500)
+    (stack,) = stacks
+    loop = np.stack([reduced_hamiltonian(spec, g) for g in result.gammas])
+    assert stack.shape == (500, 7, 7)
+    assert stack.tobytes() == loop.tobytes()
 
 
 def _grid_crossing(result, tag, pair):
