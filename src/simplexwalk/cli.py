@@ -9,7 +9,9 @@ SIMPLEXWALK_OUTDIR environment variable, when set, is prepended to relative
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is
 either a rule of the CLI itself or an input that the library refuses with a
-ValueError; its message is printed as "error: <message>".
+ValueError; its message is printed as "error: <message>".  Each distinct
+warning a request raises is printed as one "warning: <message>" line,
+unless the request is refused.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,15 +237,26 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
             "connectivity is limited to M <= 1000 (N <= 1001000); "
             f"got M={spec.M} (N={spec.n_vertices})"
         )
+    lam1_closed = theory.algebraic_connectivity_formula(spec.M, spec.w)
+    op_norm_closed = spec.M + spec.w - 1.0
+    # Lanczos's lambda1 and ||A|| were measured within 15 eps ||A|| of the
+    # closed forms; where that is not small against lambda1, lambda1 is noise
+    bound = 15 * np.finfo(float).eps * op_norm_closed
+    if bound >= 1e-3 * lam1_closed:
+        raise UsageError(
+            f"connectivity cannot resolve lambda1 at M={spec.M}, w={_fmt(spec.w)}: "
+            f"its error bound 15 eps ||A|| = {bound:.3g} must be below 1e-3 of "
+            f"lambda1 = {lam1_closed:.3g}"
+        )
     lam1, op_norm = graph.connectivity_and_norm(spec)
     degree = spec.M - 1 + spec.w
     payload = {
         "M": spec.M,
         "w": spec.w,
         "lambda1": lam1,
-        "lambda1_closed_form": theory.algebraic_connectivity_formula(spec.M, spec.w),
+        "lambda1_closed_form": lam1_closed,
         "op_norm": op_norm,
-        "op_norm_closed_form": spec.M + spec.w - 1.0,
+        "op_norm_closed_form": op_norm_closed,
         "normalized_connectivity": lam1 / degree,
     }
     _write_output(args, _json_doc(payload))
@@ -342,14 +356,25 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CheckFailure as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
+    # Each distinct warning of a request becomes one plain "warning:" line, on
+    # every request and whatever the process's warning filters: Python's own
+    # display shows a warning once per process and with the path of the code
+    # that raised it.  A refused request prints its "error:" line alone.
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.func(args)
+        except (UsageError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CheckFailure as exc:
+            code, failure = 1, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if failure is not None:
+        print(f"failure: {failure}", file=sys.stderr)
+    return code
 
 
 def entry_point() -> None:

@@ -10,6 +10,7 @@ vertex.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -74,7 +75,9 @@ def two_stage_schedule(spec: GraphSpec) -> list[Stage]:
     return [Stage(pred.gamma_c1, pred.t1), Stage(pred.gamma_c2, pred.t2)]
 
 
-def _validate_schedule(schedule: Schedule) -> list[Stage]:
+def _validate_schedule(schedule: Schedule) -> tuple[list[Stage], np.ndarray]:
+    """The schedule's stages, checked, and their boundaries in global time:
+    0, then the end of each stage."""
     stages = [Stage(float(g), float(d)) for g, d in schedule]
     if not stages:
         raise ValueError("schedule must contain at least one stage")
@@ -82,48 +85,61 @@ def _validate_schedule(schedule: Schedule) -> list[Stage]:
         raise ValueError("stage durations must be finite and >= 0")
     if not all(math.isfinite(s.gamma) and s.gamma > 0 for s in stages):
         raise ValueError("stage gammas must be finite and > 0")
-    return stages
+    boundaries = np.concatenate([[0.0], np.cumsum([s.duration for s in stages])])
+    for k, stage in enumerate(stages):
+        if stage.duration > 0 and boundaries[k + 1] == boundaries[k]:
+            raise ValueError(
+                "stage durations must advance the float64 global time: stage "
+                f"{k + 1} (duration {stage.duration:g}) vanishes after "
+                f"{boundaries[k]:g}"
+            )
+    return stages, boundaries
+
+
+def _chain(eigensystems, stages: Sequence[Stage], psi: np.ndarray) -> list:
+    """Per stage, its eigendecomposition ``(lam, vecs)`` and the eigenbasis
+    coefficients of the state it starts from: psi for the first stage, the
+    end state of the stage before for each later one."""
+    spectra: list = []
+    for k, (lam, vecs) in enumerate(eigensystems):
+        if k:
+            psi = _contract(*spectra[-1], stages[k - 1].duration)
+        spectra.append((lam, vecs, vecs.T @ psi))
+    return spectra
+
+
+def _stage_slices(boundaries: np.ndarray, times: np.ndarray) -> list[slice]:
+    """One index range per stage into a sorted 1-D array of global times.
+    A time on a stage boundary belongs to the later stage; times outside
+    the schedule extend the first or last stage."""
+    edges = [0, *np.searchsorted(times, boundaries[1:-1]), len(times)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 class _Propagator:
-    """Eigendecompositions and stage-start states for one schedule, so the
+    """Eigendecompositions and stage-start coefficients for one schedule, so the
     amplitudes at a batch of global times cost one contraction per stage.
 
-    ``spectra`` maps a gamma to the eigendecomposition of its reduced
-    generator.  ``_detuned_peak`` passes one dict to all the propagators it
-    builds for one spec, so a gamma they share is diagonalised once.
+    ``boundaries`` are as ``_validate_schedule`` returns them, and
+    ``spectra`` holds ``(lam, vecs, coeff)`` per stage, as ``_chain`` builds
+    them.
     """
 
-    def __init__(self, spec: GraphSpec, schedule: Schedule,
-                 spectra: dict | None = None):
-        self.stages = _validate_schedule(schedule)
-        self.boundaries = np.concatenate(
-            [[0.0], np.cumsum([s.duration for s in self.stages])]
-        )
-        for k, stage in enumerate(self.stages):
-            if stage.duration > 0 and self.boundaries[k + 1] == self.boundaries[k]:
-                raise ValueError(
-                    "stage durations must advance the float64 global time: stage "
-                    f"{k + 1} (duration {stage.duration:g}) vanishes after "
-                    f"{self.boundaries[k]:g}"
-                )
-        spectra = {} if spectra is None else spectra
-        self._spectra = []
-        psi = reduced_initial_state(spec)
-        for stage in self.stages:
-            if stage.gamma not in spectra:
-                spectra[stage.gamma] = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
-            lam, vecs = spectra[stage.gamma]
-            coeff = vecs.T @ psi
-            self._spectra.append((lam, vecs, coeff))
-            psi = _contract(lam, vecs, coeff, stage.duration)
+    def __init__(self, boundaries: np.ndarray, spectra: list):
+        self.boundaries = boundaries
+        self._spectra = spectra
 
-    def stage_slices(self, times: np.ndarray) -> list[slice]:
-        """One index range per stage into a sorted 1-D array of global times.
-        A time on a stage boundary belongs to the later stage; times outside
-        the schedule extend the first or last stage."""
-        edges = [0, *np.searchsorted(times, self.boundaries[1:-1]), len(times)]
-        return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    @classmethod
+    def for_schedule(cls, spec: GraphSpec, stages: Sequence[Stage],
+                     boundaries: np.ndarray) -> _Propagator:
+        """The propagator of a validated schedule, starting from the equal
+        superposition; a gamma that several stages share is diagonalised once."""
+        eigensystems: dict = {}
+        for stage in stages:
+            if stage.gamma not in eigensystems:
+                eigensystems[stage.gamma] = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
+        return cls(boundaries, _chain([eigensystems[s.gamma] for s in stages], stages,
+                                      reduced_initial_state(spec)))
 
     def stage_amplitudes(self, k: int, times: np.ndarray, rows) -> np.ndarray:
         """Amplitudes of the state components ``rows`` under stage k's
@@ -137,20 +153,32 @@ class _Propagator:
         amplitude of component ``row`` in that stage has a larger modulus."""
         return np.array([np.abs(vecs[row] * coeff).sum() for _, vecs, coeff in self._spectra])
 
-    def amplitudes(self, times, rows):
+    def amplitudes(self, times: np.ndarray, rows) -> np.ndarray:
         """Amplitudes of the state components ``rows`` (an index or a slice)
-        at a scalar global time, shaped like ``vecs[rows]``, or at a sorted
-        1-D array of times, with a trailing time axis (stages assigned as in
-        ``stage_slices``)."""
-        if np.ndim(times) == 0:
-            k = int(np.searchsorted(self.boundaries[1:-1], times, side="right"))
-            lam, vecs, coeff = self._spectra[k]
-            return _contract(lam, vecs[rows], coeff, times - self.boundaries[k])
+        at a sorted 1-D array of global times, with a trailing time axis
+        (stages assigned as in ``_stage_slices``)."""
         return np.concatenate(
             [self.stage_amplitudes(k, times[piece], rows)
-             for k, piece in enumerate(self.stage_slices(times))],
+             for k, piece in enumerate(_stage_slices(self.boundaries, times))],
             axis=-1,
         )
+
+    def probability(self, row: int) -> Callable[[float], float]:
+        """``p(t)``: the probability of state component ``row`` at one global
+        time, which golden-section refinement calls one time at a time.  It
+        picks the stage by bisecting the inner boundaries and reuses each
+        stage's ``-1j * lam`` and eigenvector row, so a call is the
+        operations of ``_contract`` at a scalar time, in the same order, and
+        little else; ``np.abs``, not ``abs``, which rounds differently."""
+        inner = self.boundaries[1:-1].tolist()
+        stages = [(start, -1j * lam, vecs[row], coeff)
+                  for start, (lam, vecs, coeff) in zip(self.boundaries, self._spectra)]
+
+        def p(t: float) -> float:
+            start, phase, vec, coeff = stages[bisect.bisect_right(inner, t)]
+            return np.abs(vec @ (np.exp(phase * (t - start)) * coeff)) ** 2
+
+        return p
 
 
 def run_schedule(
@@ -160,11 +188,12 @@ def run_schedule(
     stage uniformly; the state is continuous across stage boundaries."""
     if not isinstance(samples_per_stage, (int, np.integer)) or samples_per_stage < 1:
         raise ValueError("samples_per_stage must be an integer >= 1")
-    prop = _Propagator(spec, schedule)
+    stages, boundaries = _validate_schedule(schedule)
+    prop = _Propagator.for_schedule(spec, stages, boundaries)
     steps = np.arange(1, samples_per_stage + 1)
     times = np.concatenate([[0.0]] + [
         start + stage.duration * steps / samples_per_stage
-        for start, stage in zip(prop.boundaries, prop.stages) if stage.duration > 0
+        for start, stage in zip(boundaries, stages) if stage.duration > 0
     ])
     amps = prop.amplitudes(times, slice(None))
     return TimeSeries(
@@ -227,7 +256,10 @@ def peak_success(
     """
     if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
         raise ValueError("grid_points must be an integer >= 2")
-    return _peak(_Propagator(spec, schedule), grid_points)
+    stages, boundaries = _validate_schedule(schedule)
+    times = _peak_grid(boundaries, grid_points)
+    return _peak(_Propagator.for_schedule(spec, stages, boundaries), times,
+                 _stage_slices(boundaries, times))
 
 
 def _peak_grid(boundaries: np.ndarray, grid_points: int) -> np.ndarray:
@@ -245,12 +277,10 @@ def _peak_grid(boundaries: np.ndarray, grid_points: int) -> np.ndarray:
     return np.concatenate(pieces + [grid[start:]])
 
 
-def _peak(prop: _Propagator, grid_points: int) -> tuple[float, float]:
-    """``peak_success`` on an already built propagator."""
-    total = prop.boundaries[-1]
-    times = _peak_grid(prop.boundaries, grid_points)
+def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[float, float]:
+    """``peak_success`` on an already built propagator, its grid ``times``
+    and the grid's ``_stage_slices``."""
     values = np.full(times.shape, -np.inf)
-    pieces = prop.stage_slices(times)
     bounds = prop.amplitude_bounds(0)
     best = -np.inf
     for k in np.argsort(bounds)[::-1]:
@@ -259,26 +289,39 @@ def _peak(prop: _Propagator, grid_points: int) -> tuple[float, float]:
         piece = pieces[k]
         values[piece] = np.abs(prop.stage_amplitudes(k, times[piece], 0)) ** 2
         best = max(best, values[piece].max(initial=-np.inf))
-    return _grid_max(
-        lambda t: np.abs(prop.amplitudes(t, 0)) ** 2, times, values, 1e-6 * total
-    )
+    return _grid_max(prop.probability(0), times, values, 1e-6 * prop.boundaries[-1])
 
 
 def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
     """``peak(eps)``: the two-stage schedule's peak success probability with one
-    stage's gamma detuned by eps.  The calls share one dict of eigendecompositions,
-    so the stage held at its critical gamma is diagonalised once."""
+    stage's gamma detuned by eps.
+
+    Only that gamma moves with eps, so the stage boundaries, the peak grid and
+    its stage slices, the start state and the other stage's eigensystem are
+    built once here; when stage 2 is detuned, so are the stage-1
+    coefficients and the stage-1 end state.  Each call then makes one 7x7
+    eigensolve, the coefficients that follow from it, and one ``_peak``."""
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
-    stages = two_stage_schedule(spec)
-    gamma, duration = stages[stage - 1]
-    spectra: dict = {}
+    stages, boundaries = _validate_schedule(two_stage_schedule(spec))
+    times = _peak_grid(boundaries, _GRID_POINTS)
+    pieces = _stage_slices(boundaries, times)
+    gamma = stages[stage - 1].gamma
+    fixed = np.linalg.eigh(reduced_hamiltonian(spec, stages[2 - stage].gamma))
+    psi = reduced_initial_state(spec)
+    if stage == 2:
+        head = _chain([fixed], stages[:1], psi)
+        psi = _contract(*head[0], stages[0].duration)
 
     def peak(eps: float) -> float:
         if gamma + eps <= 0:
             raise ValueError(f"offset {eps} drives gamma nonpositive")
-        stages[stage - 1] = Stage(gamma + eps, duration)
-        return _peak(_Propagator(spec, stages, spectra), _GRID_POINTS)[1]
+        detuned = np.linalg.eigh(reduced_hamiltonian(spec, gamma + eps))
+        if stage == 1:
+            spectra = _chain([detuned, fixed], stages, psi)
+        else:
+            spectra = head + _chain([detuned], stages[1:], psi)
+        return _peak(_Propagator(boundaries, spectra), times, pieces)[1]
 
     return peak
 
@@ -324,10 +367,7 @@ def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     """
     pred = theory.predict(spec)
     window = 1.6 * pred.t1
-    prop = _Propagator(spec, [Stage(pred.gamma_c1, window)])
+    prop = _Propagator.for_schedule(spec, *_validate_schedule([Stage(pred.gamma_c1, window)]))
     times = np.linspace(0.0, window, 20_001)
-
-    def prob_b(t):
-        return np.abs(prop.amplitudes(t, 1)) ** 2
-
-    return _grid_max(prob_b, times, prob_b(times), 1e-9 * pred.t1)
+    return _grid_max(prop.probability(1), times, np.abs(prop.amplitudes(times, 1)) ** 2,
+                     1e-9 * pred.t1)

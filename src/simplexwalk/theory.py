@@ -125,8 +125,14 @@ def gamma_c1_exact(spec: GraphSpec) -> float:
 
 
 def algebraic_connectivity_formula(M: int, w: float) -> float:
-    """Closed form for the second-smallest Laplacian eigenvalue; ~ w at large M."""
-    return 0.5 * (M + 2 * w - math.sqrt(M * M - 4 * w + 4 * w * w))
+    """Closed form for the second-smallest Laplacian eigenvalue; ~ w at large M.
+
+    This is (M + 2w - R) / 2 with R = sqrt(M^2 - 4w + 4w^2), rationalised to
+    2w(M + 1) / (M + 2w + R): the difference cancels catastrophically once w
+    is far from M, and w^2 overflows.  R is ``hypot(2w - 1, sqrt(M^2 - 1))``,
+    and M + 1 multiplies last, so neither overflows for w below 4e307."""
+    root = math.hypot(2 * w - 1, math.sqrt(M * M - 1))
+    return 2 * w / (M + 2 * w + root) * (M + 1)
 
 
 def predict(spec: GraphSpec) -> Prediction:

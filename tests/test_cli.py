@@ -3,6 +3,7 @@
 import json
 import runpy
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,47 @@ def test_connectivity_runs_lanczos_without_a_dense_eigensolve(capsys, monkeypatc
     assert calls == [("eigvalsh", (k, k)) for k in range(1, len(calls) + 1)]
 
 
+@pytest.mark.parametrize("M, w", [
+    ("13", "1e15"),     # lambda1 ~ (M + 1) / 2 = 7 is within a few eps ||A||
+    ("3", "1e300"),     # the old closed form overflowed to -inf here
+    ("13", "3e12"),     # 15 eps ||A|| = 0.00999 > 1e-3 lambda1
+    ("1000", "1e-9"),   # lambda1 ~ w, 15 eps ||A|| = 3.3e-12
+])
+def test_connectivity_refuses_a_lambda1_below_its_error_bound(capsys, monkeypatch, M, w):
+    monkeypatch.setattr(graph, "connectivity_and_norm", None)
+    code, out, err = _run(capsys, "connectivity", "--M", M, "--w", w)
+    _assert_refused(code, out, err)
+    assert "15 eps ||A||" in err and "must be below 1e-3 of" in err
+
+
+@pytest.mark.parametrize("M, w", [("13", "1e12"), ("1000", "1e-8"), ("3", "1e-9")])
+def test_connectivity_accepts_a_lambda1_above_its_error_bound(capsys, M, w):
+    code, out, _ = _run(capsys, "connectivity", "--M", M, "--w", w)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lambda1"] == pytest.approx(
+        payload["lambda1_closed_form"], abs=15 * np.finfo(float).eps * payload["op_norm"]
+    )
+
+
+def test_predict_warning_is_one_plain_line_on_every_request(capsys):
+    with warnings.catch_warnings():
+        # the CLI's stderr does not depend on the process's warning filters
+        warnings.simplefilter("ignore")
+        runs = [_run(capsys, "predict", "--M", "6", "--w", "3") for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, err = runs[0]
+    assert code == 0 and json.loads(out)["w"] == 3.0
+    assert err == (
+        "warning: w=3.0 is not below sqrt(M)=2.449; the two critical jumping "
+        "rates collide and the two-stage predictions degrade\n"
+    )
+    # width asks theory.predict twice (its gamma_c and the scan): still one line
+    code, _, err = _run(capsys, "width", "--M", "6", "--w", "3", "--stage", "2",
+                        "--offsets", "3")
+    assert code == 0 and err.count("\n") == 1 and err.startswith("warning: w=3.0")
+
+
 @pytest.mark.parametrize("M", ["1001", "10000"])
 def test_connectivity_refuses_large_m_before_building(capsys, monkeypatch, M):
     monkeypatch.setattr(graph, "_apply_adjacency", None)
@@ -301,7 +343,6 @@ def test_predict_accepts_the_largest_float64_integer(capsys):
 @pytest.mark.filterwarnings("ignore:w=.* is not below sqrt")
 @pytest.mark.parametrize("argv", [
     ["predict", "--M", "10", "--w", "1e160"],
-    ["connectivity", "--M", "3", "--w", "1e300"],
 ])
 def test_nonfinite_json_value_is_refused(capsys, argv):
     code, out, err = _run(capsys, *argv)

@@ -201,18 +201,43 @@ def test_peak_success_zero_duration_schedule():
     assert p_peak == pytest.approx(1.0 / spec.n_vertices, abs=1e-12)
 
 
+def _propagator(spec, schedule):
+    return dynamics._Propagator.for_schedule(spec, *dynamics._validate_schedule(schedule))
+
+
 def _full_grid_peak(spec, schedule, grid_points):
-    """peak_success without the stage skip: every grid point evaluated."""
-    prop = dynamics._Propagator(spec, schedule)
+    """peak_success without the stage skip: every grid point evaluated, and
+    each scalar time through ``_contract`` on its stage found by
+    ``searchsorted``, not through ``_Propagator.probability``."""
+    prop = _propagator(spec, schedule)
     total = prop.boundaries[-1]
     times = np.unique(
         np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
     )
 
     def prob(t):
-        return np.abs(prop.amplitudes(t, 0)) ** 2
+        k = int(np.searchsorted(prop.boundaries[1:-1], t, side="right"))
+        lam, vecs, coeff = prop._spectra[k]
+        return np.abs(dynamics._contract(lam, vecs[0], coeff, t - prop.boundaries[k])) ** 2
 
-    return dynamics._grid_max(prob, times, prob(times), 1e-6 * total)
+    values = np.abs(prop.amplitudes(times, 0)) ** 2
+    return dynamics._grid_max(prob, times, values, 1e-6 * total)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_scalar_probability_is_the_contraction_on_its_stage(row):
+    spec, g1, t1, g2, t2 = _critical_rates(1000, 3.0)
+    prop = _propagator(spec, [(g1, t1), (g2, t2), (1.5 * g2, 0.0), (2 * g2, t2)])
+    p = prop.probability(row)
+    bounds = prop.boundaries
+    # the boundaries (each belongs to the stage it starts), points inside,
+    # and times before and after the schedule
+    times = [*bounds, *(0.5 * (bounds[:-1] + bounds[1:])), -1.0, bounds[-1] + 7.0]
+    for t in map(np.float64, times):
+        k = int(np.searchsorted(bounds[1:-1], t, side="right"))
+        lam, vecs, coeff = prop._spectra[k]
+        expected = np.abs(dynamics._contract(lam, vecs[row], coeff, t - bounds[k])) ** 2
+        assert p(t) == expected, t
 
 
 @pytest.mark.parametrize("durations, grid_points", [
@@ -287,9 +312,7 @@ def test_peak_success_equals_full_grid_search_on_random_schedules():
 ])
 def test_stage_bound_caps_marked_probability(M, w, detune):
     spec, g1, t1, g2, t2 = _critical_rates(M, w)
-    prop = dynamics._Propagator(
-        spec, [(g1, t1), (detune * g2, t2), (detune * g1, t1 / 2)]
-    )
+    prop = _propagator(spec, [(g1, t1), (detune * g2, t2), (detune * g1, t1 / 2)])
     for k, bound in enumerate(prop.amplitude_bounds(0)):
         times = np.linspace(prop.boundaries[k], prop.boundaries[k + 1], 20_001)
         prob = np.abs(prop.stage_amplitudes(k, times, 0)) ** 2
@@ -356,6 +379,47 @@ def test_width_scan_diagonalises_the_fixed_stage_once(monkeypatch, stage):
         assert p == peak_success(spec, schedule)[1]
 
 
+def _fresh_detuned_peak(spec, stage, eps):
+    """peak_success on the two-stage schedule with one stage's gamma detuned,
+    each search built from scratch through the public API."""
+    schedule = two_stage_schedule(spec)
+    gamma, duration = schedule[stage - 1]
+    schedule[stage - 1] = Stage(gamma + eps, duration)
+    return peak_success(spec, schedule)
+
+
+def _half_width_or_error(spec, stage):
+    try:
+        return stage_half_width(spec, stage)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_detuned_scans_equal_fresh_peak_searches(monkeypatch):
+    rng = np.random.default_rng(10)
+    stage1_peaks = 0
+    for _ in range(6):
+        spec = GraphSpec(int(round(10 ** rng.uniform(1, np.log10(2e4)))),
+                         float(10 ** rng.uniform(-0.3, 0.45)))
+        t1 = two_stage_schedule(spec)[0].duration
+        for stage in (1, 2):
+            gamma = two_stage_schedule(spec)[stage - 1].gamma
+            # zero, two near the plateau, and two so far off that the detuned
+            # stage stops transferring (stage 2's peak then moves into stage 1)
+            offsets = [0.0, *(rng.normal(size=2) * spec.M ** -1.5), -0.5 * gamma, 9 * gamma]
+            _, peaks = width_scan(spec, stage, offsets)
+            fresh = [_fresh_detuned_peak(spec, stage, eps) for eps in offsets]
+            assert peaks.tolist() == [p for _, p in fresh]
+            stage1_peaks += sum(t < t1 for t, _ in fresh)
+
+            half_width = _half_width_or_error(spec, stage)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "_detuned_peak", lambda spec, stage: (
+                    lambda eps: _fresh_detuned_peak(spec, stage, eps)[1]))
+                assert _half_width_or_error(spec, stage) == half_width
+    assert stage1_peaks >= 6
+
+
 def test_width_scan_rejects_bad_stage():
     with pytest.raises(ValueError):
         width_scan(GraphSpec(500, 1.0), 3, [0.0])
@@ -370,9 +434,9 @@ def test_stage_half_width_diagonalises_each_gamma_once(monkeypatch, stage, searc
         eigh_calls.append(matrix.shape)
         return eigh(matrix)
 
-    def counting_peak(prop, grid_points):
-        peak_calls.append(grid_points)
-        return peak(prop, grid_points)
+    def counting_peak(prop, times, pieces):
+        peak_calls.append(len(times))
+        return peak(prop, times, pieces)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(dynamics, "_peak", counting_peak)

@@ -144,6 +144,20 @@ def test_connectivity_formula_values():
     assert algebraic_connectivity_formula(100, 5.0) == pytest.approx(5.0, rel=0.05)
 
 
+@pytest.mark.parametrize("M", [3, 13, 1000, 10**6, 2**53])
+def test_connectivity_formula_is_accurate_from_tiny_to_huge_w(M):
+    mpmath = pytest.importorskip("mpmath")
+    for w in np.logspace(-9, 300, 207):
+        w = float(w)
+        # the textbook form (M + 2w - R) / 2 cancels up to |log10 w| + log10 M
+        # + 1 digits, so the working precision grows with them: 50 survive
+        with mpmath.workdps(52 + round(abs(math.log10(w)) + math.log10(M))):
+            m, x = mpmath.mpf(M), mpmath.mpf(w)
+            exact = (m + 2 * x - mpmath.sqrt(m * m - 4 * x + 4 * x * x)) / 2
+            got = algebraic_connectivity_formula(M, w)
+            assert abs(got - exact) <= 4 * np.finfo(float).eps * exact, (M, w)
+
+
 @pytest.mark.parametrize("M", [3, 6, 12, 20])
 @pytest.mark.parametrize("w", [0.5, 2.0])
 def test_connectivity_formula_matches_numeric(M, w):
