@@ -51,7 +51,8 @@ def _fmt(x: float) -> str:
 def _sci(x: float) -> str:
     """Scientific notation with at most three significant digits and no
     padded exponent: 1e-10, 2.2e-07 -> 2.2e-7."""
-    return np.format_float_scientific(x, precision=2, trim="-", exp_digits=1)
+    # numpy keeps the point when rounding cuts every fraction digit: 1.e-8
+    return np.format_float_scientific(x, precision=2, trim="-", exp_digits=1).replace(".e", "e")
 
 
 def _tolerance(floor: float, scale: float) -> float:

@@ -129,18 +129,6 @@ class _Propagator:
         self.boundaries = boundaries
         self._spectra = spectra
 
-    @classmethod
-    def for_schedule(cls, spec: GraphSpec, stages: Sequence[Stage],
-                     boundaries: np.ndarray) -> _Propagator:
-        """The propagator of a validated schedule, starting from the equal
-        superposition; a gamma that several stages share is diagonalised once."""
-        eigensystems: dict = {}
-        for stage in stages:
-            if stage.gamma not in eigensystems:
-                eigensystems[stage.gamma] = np.linalg.eigh(reduced_hamiltonian(spec, stage.gamma))
-        return cls(boundaries, _chain([eigensystems[s.gamma] for s in stages], stages,
-                                      reduced_initial_state(spec)))
-
     def stage_amplitudes(self, k: int, times: np.ndarray, rows) -> np.ndarray:
         """Amplitudes of the state components ``rows`` under stage k's
         generator at a 1-D array of global times, with a trailing time axis."""
@@ -181,6 +169,13 @@ class _Propagator:
         return p
 
 
+def _propagator(spec: GraphSpec, stages: Sequence[Stage], boundaries: np.ndarray) -> _Propagator:
+    """The propagator of a validated schedule, starting from the equal
+    superposition: one 7x7 eigensolve per stage."""
+    eigensystems = [np.linalg.eigh(reduced_hamiltonian(spec, s.gamma)) for s in stages]
+    return _Propagator(boundaries, _chain(eigensystems, stages, reduced_initial_state(spec)))
+
+
 def run_schedule(
     spec: GraphSpec, schedule: Schedule, samples_per_stage: int = 2000
 ) -> TimeSeries:
@@ -189,7 +184,7 @@ def run_schedule(
     if not isinstance(samples_per_stage, (int, np.integer)) or samples_per_stage < 1:
         raise ValueError("samples_per_stage must be an integer >= 1")
     stages, boundaries = _validate_schedule(schedule)
-    prop = _Propagator.for_schedule(spec, stages, boundaries)
+    prop = _propagator(spec, stages, boundaries)
     steps = np.arange(1, samples_per_stage + 1)
     times = np.concatenate([[0.0]] + [
         start + stage.duration * steps / samples_per_stage
@@ -233,9 +228,7 @@ def _grid_max(f, times: np.ndarray, values: np.ndarray, xtol: float) -> tuple[fl
     return float(mid), float(f_mid)
 
 
-def peak_success(
-    spec: GraphSpec, schedule: Schedule, grid_points: int = _GRID_POINTS
-) -> tuple[float, float]:
+def peak_success(spec: GraphSpec, schedule: Schedule) -> tuple[float, float]:
     """Time and value of the maximum marked-vertex probability over a schedule.
 
     A uniform grid (plus the stage boundaries) brackets the maximum, which is
@@ -254,27 +247,18 @@ def peak_success(
     search bit for bit.  On the two-stage schedule this skips stage 1, which
     holds nearly all of the grid while its probability stays O(1/M).
     """
-    if not isinstance(grid_points, (int, np.integer)) or grid_points < 2:
-        raise ValueError("grid_points must be an integer >= 2")
+    stages, boundaries, times, pieces = _peak_frame(schedule)
+    return _peak(_propagator(spec, stages, boundaries), times, pieces)
+
+
+def _peak_frame(schedule: Schedule) -> tuple[list[Stage], np.ndarray, np.ndarray, list[slice]]:
+    """What a peak search needs of a schedule besides its gammas: the checked
+    stages and their boundaries, the peak grid (a uniform grid of
+    ``_GRID_POINTS`` over the schedule, plus the boundaries, sorted and
+    without repeats), and the grid's ``_stage_slices``."""
     stages, boundaries = _validate_schedule(schedule)
-    times = _peak_grid(boundaries, grid_points)
-    return _peak(_Propagator.for_schedule(spec, stages, boundaries), times,
-                 _stage_slices(boundaries, times))
-
-
-def _peak_grid(boundaries: np.ndarray, grid_points: int) -> np.ndarray:
-    """``np.unique`` of a uniform grid over the schedule and its boundaries,
-    with no sort: each new boundary goes in at its ``searchsorted`` position."""
-    grid = np.linspace(0.0, boundaries[-1], grid_points)
-    if not (grid[1:] > grid[:-1]).all():  # a zero or subnormal-range total
-        grid = np.unique(grid)
-    pieces, start = [], 0
-    for b in dict.fromkeys(boundaries.tolist()):
-        i = int(grid.searchsorted(b))
-        if grid[i] != b:
-            pieces += [grid[start:i], [b]]
-            start = i
-    return np.concatenate(pieces + [grid[start:]])
+    times = np.unique(np.concatenate([np.linspace(0.0, boundaries[-1], _GRID_POINTS), boundaries]))
+    return stages, boundaries, times, _stage_slices(boundaries, times)
 
 
 def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[float, float]:
@@ -303,9 +287,7 @@ def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
     eigensolve, the coefficients that follow from it, and one ``_peak``."""
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
-    stages, boundaries = _validate_schedule(two_stage_schedule(spec))
-    times = _peak_grid(boundaries, _GRID_POINTS)
-    pieces = _stage_slices(boundaries, times)
+    stages, boundaries, times, pieces = _peak_frame(two_stage_schedule(spec))
     gamma = stages[stage - 1].gamma
     fixed = np.linalg.eigh(reduced_hamiltonian(spec, stages[2 - stage].gamma))
     psi = reduced_initial_state(spec)
@@ -367,7 +349,7 @@ def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     """
     pred = theory.predict(spec)
     window = 1.6 * pred.t1
-    prop = _Propagator.for_schedule(spec, *_validate_schedule([Stage(pred.gamma_c1, window)]))
+    prop = _propagator(spec, *_validate_schedule([Stage(pred.gamma_c1, window)]))
     times = np.linspace(0.0, window, 20_001)
     return _grid_max(prop.probability(1), times, np.abs(prop.amplitudes(times, 1)) ** 2,
                      1e-9 * pred.t1)

@@ -67,6 +67,16 @@ def radicands(M: int, w: float, gamma: float) -> tuple[float, float]:
     return r_u, r_v
 
 
+def _energy_u(M: int, gamma: float, r_u: float) -> float:
+    """E_u at gamma, given R_u(gamma)."""
+    return (1 - 2 * gamma + M * gamma + math.sqrt(r_u)) / (2 * gamma)
+
+
+def _energy_v(M: int, w: float, r_v: float) -> float:
+    """E_v, given R_v; it does not depend on gamma."""
+    return 0.5 * (-3 + M + w + math.sqrt(r_v))
+
+
 def unperturbed_pair(
     spec: GraphSpec, gamma: float
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -87,9 +97,7 @@ def unperturbed_pair(
     v = np.array([0.0, 0.0, 0.0, 0.0, coef_ef, coef_ef, 1.0])
     u /= np.linalg.norm(u)
     v /= np.linalg.norm(v)
-    e_u = (1 - 2 * gamma + M * gamma + math.sqrt(r_u)) / (2 * gamma)
-    e_v = 0.5 * (-3 + M + w + math.sqrt(r_v))
-    return u, v, e_u, e_v
+    return u, v, _energy_u(M, gamma, r_u), _energy_v(M, w, r_v)
 
 
 def gamma_c1_exact(spec: GraphSpec) -> float:
@@ -100,12 +108,10 @@ def gamma_c1_exact(spec: GraphSpec) -> float:
     beyond 4/M when w < 1 so the root (1 + 1/w)/M stays inside.
     """
     M, w = spec.M, spec.w
-    _, r_v = radicands(M, w, 1.0)
-    e_v = 0.5 * (-3 + M + w + math.sqrt(r_v))
+    e_v = _energy_v(M, w, radicands(M, w, 1.0)[1])
 
     def diff(gamma: float) -> float:
-        r_u, _ = radicands(M, w, gamma)
-        return (1 - 2 * gamma + M * gamma + math.sqrt(r_u)) / (2 * gamma) - e_v
+        return _energy_u(M, gamma, radicands(M, w, gamma)[0]) - e_v
 
     lo = 1.0 / M
     hi = max(4.0, 2 * (1 + 1 / w)) / M
@@ -145,11 +151,12 @@ def predict(spec: GraphSpec) -> Prediction:
             stacklevel=2,
         )
     gamma_c1 = (1 + 1 / w) / M
+    if not math.isfinite(gamma_c1):
+        raise ValueError(f"w={w} is too small: the stage-1 rate (1 + 1/w)/M overflows")
     gamma_c2 = 1.0 / M
     gap1 = 2 * (1 + w) / M**1.5
     gap2 = 2 / math.sqrt(M)
     r_u, r_v = radicands(M, w, gamma_c1)
-    _, _, e_u, e_v = unperturbed_pair(spec, gamma_c1)
     e_base = -(1 + w) / w + (1 - w * w) / (w * M)
     return Prediction(
         gamma_c1=gamma_c1,
@@ -158,8 +165,8 @@ def predict(spec: GraphSpec) -> Prediction:
         t2=math.pi / gap2,
         gap1=gap1,
         gap2=gap2,
-        E_u=e_u,
-        E_v=e_v,
+        E_u=_energy_u(M, gamma_c1, r_u),
+        E_v=_energy_v(M, w, r_v),
         R_u=r_u,
         R_v=r_v,
         E_plus=e_base - (1 + w) / M**1.5,

@@ -154,6 +154,8 @@ def test_verify_passes_small_instances(capsys):
         (["verify", "--M", "5", "--w", "2", "--gamma", "0.4"], ("1e-10", "1e-8")),
         (["verify", "--M", "3", "--w", "1", "--gamma", "0.6667"], ("1e-10", "1e-8")),
         (["verify", "--M", "10", "--gamma", "1e6"], ("2.22e-7", "2.22e-6")),
+        # both tolerances round to 1.00 at three digits
+        (["verify", "--M", "10", "--gamma", "4504"], ("1e-9", "1e-8")),
     ):
         code, out, _ = _run(capsys, *argv)
         assert code == 0
@@ -161,6 +163,8 @@ def test_verify_passes_small_instances(capsys):
         assert "4/4 checks passed" in out
         assert out.count(f"(tol {tols[0]})") == 1
         assert out.count(f"(tol {tols[1]})") == 2
+    for x, text in ((1.0001e-8, "1e-8"), (2.2204e-7, "2.22e-7"), (1e-10, "1e-10")):
+        assert cli._sci(x) == text
 
 
 def test_verify_refuses_large_m(capsys):

@@ -143,16 +143,6 @@ def test_run_schedule_rejects_bad_samples_per_stage():
     assert len(run_schedule(spec, two_stage_schedule(spec), np.int64(2)).times) == 5
 
 
-def test_peak_success_rejects_bad_grid_points():
-    spec = GraphSpec(20, 1.0)
-    for grid_points in (1, 2.5):
-        with pytest.raises(ValueError, match="grid_points must be an integer"):
-            peak_success(spec, two_stage_schedule(spec), grid_points)
-    assert peak_success(spec, two_stage_schedule(spec), np.int64(2)) == peak_success(
-        spec, two_stage_schedule(spec), 2
-    )
-
-
 def test_stage_that_vanishes_in_global_time_is_refused():
     spec = GraphSpec(1000, 1.0)
     (gamma1, _), (gamma2, t2) = two_stage_schedule(spec)
@@ -202,18 +192,24 @@ def test_peak_success_zero_duration_schedule():
 
 
 def _propagator(spec, schedule):
-    return dynamics._Propagator.for_schedule(spec, *dynamics._validate_schedule(schedule))
+    return dynamics._propagator(spec, *dynamics._validate_schedule(schedule))
 
 
-def _full_grid_peak(spec, schedule, grid_points):
+def _sorted_union(boundaries):
+    """The peak grid by its definition: a uniform grid of ``_GRID_POINTS``
+    over the schedule and the stage boundaries, sorted, without repeats."""
+    return np.unique(np.concatenate(
+        [np.linspace(0.0, boundaries[-1], dynamics._GRID_POINTS), boundaries]
+    ))
+
+
+def _full_grid_peak(spec, schedule):
     """peak_success without the stage skip: every grid point evaluated, and
     each scalar time through ``_contract`` on its stage found by
     ``searchsorted``, not through ``_Propagator.probability``."""
     prop = _propagator(spec, schedule)
     total = prop.boundaries[-1]
-    times = np.unique(
-        np.concatenate([np.linspace(0.0, total, grid_points), prop.boundaries])
-    )
+    times = _sorted_union(prop.boundaries)
 
     def prob(t):
         k = int(np.searchsorted(prop.boundaries[1:-1], t, side="right"))
@@ -251,16 +247,23 @@ def test_scalar_probability_is_the_contraction_on_its_stage(row):
     ([5e-324], 3),                      # subnormal total: linspace repeats
 ])
 def test_peak_grid_equals_the_sorted_union(monkeypatch, durations, grid_points):
-    boundaries = np.concatenate([[0.0], np.cumsum(durations)])
-    expected = np.unique(
-        np.concatenate([np.linspace(0.0, boundaries[-1], grid_points), boundaries])
-    )
-    times = dynamics._peak_grid(boundaries, grid_points)
+    monkeypatch.setattr(dynamics, "_GRID_POINTS", grid_points)
+    stages, boundaries, times, pieces = dynamics._peak_frame([(1.0, d) for d in durations])
+    assert [s.duration for s in stages] == durations
+    assert boundaries.tolist() == np.concatenate([[0.0], np.cumsum(durations)]).tolist()
+    expected = _sorted_union(boundaries)
     assert times.dtype == expected.dtype and times.tobytes() == expected.tobytes()
-    if boundaries[-1] > 1e-300:
-        monkeypatch.setattr(np, "unique", None)
-        monkeypatch.setattr(np, "sort", None)
-        assert dynamics._peak_grid(boundaries, grid_points).tobytes() == times.tobytes()
+    assert (np.diff(times) > 0).all() and np.isin(boundaries, times).all()
+    # the pieces tile the grid, and stage k's holds the times in
+    # [boundary k, boundary k + 1); the last stage also holds the end
+    assert pieces[0].start == 0 and pieces[-1].stop == len(times)
+    for k, piece in enumerate(pieces):
+        assert (times[piece] >= boundaries[k]).all()
+        if k + 1 < len(pieces):
+            assert piece.stop == pieces[k + 1].start and (times[piece] < boundaries[k + 1]).all()
+    spec = GraphSpec(20, 1.0)
+    schedule = [(0.05 * (k + 1), d) for k, d in enumerate(durations)]
+    assert peak_success(spec, schedule) == _full_grid_peak(spec, schedule)
 
 
 def _critical_rates(M=1000, w=1.0):
@@ -274,7 +277,8 @@ def _critical_rates(M=1000, w=1.0):
     ("zero_durations", 10_000), ("zero_last_stage", 10_000),
     ("stage1_peak", 10_000), ("two_stage", 2),
 ])
-def test_peak_success_equals_full_grid_search(case, grid_points):
+def test_peak_success_equals_full_grid_search(monkeypatch, case, grid_points):
+    monkeypatch.setattr(dynamics, "_GRID_POINTS", grid_points)
     spec, g1, t1, g2, t2 = _critical_rates()
     schedule = {
         "two_stage": [(g1, t1), (g2, t2)],
@@ -285,13 +289,13 @@ def test_peak_success_equals_full_grid_search(case, grid_points):
         # detuned so far that stage 1 holds the peak and stage 2 is skipped
         "stage1_peak": [(g1, t1), (10 * g2, t2)],
     }[case]
-    result = peak_success(spec, schedule, grid_points=grid_points)
-    assert result == _full_grid_peak(spec, schedule, grid_points)
+    result = peak_success(spec, schedule)
+    assert result == _full_grid_peak(spec, schedule)
     if case == "stage1_peak":
         assert result[0] < t1
 
 
-def test_peak_success_equals_full_grid_search_on_random_schedules():
+def test_peak_success_equals_full_grid_search_on_random_schedules(monkeypatch):
     rng = np.random.default_rng(4)
     for _ in range(40):
         spec, g1, t1, g2, t2 = _critical_rates(
@@ -301,10 +305,8 @@ def test_peak_success_equals_full_grid_search_on_random_schedules():
             (gamma * 10 ** rng.uniform(-1, 1), duration * rng.choice([0.0, 0.5, 1.0, 2.0]))
             for gamma, duration in [(g1, t1), (g2, t2), (g1, t1), (g2, t2)][:rng.integers(1, 5)]
         ]
-        grid_points = int(rng.choice([2, 7, 100, 10_000]))
-        assert peak_success(spec, schedule, grid_points) == _full_grid_peak(
-            spec, schedule, grid_points
-        )
+        monkeypatch.setattr(dynamics, "_GRID_POINTS", int(rng.choice([2, 7, 100, 10_000])))
+        assert peak_success(spec, schedule) == _full_grid_peak(spec, schedule)
 
 
 @pytest.mark.parametrize("M, w, detune", [
@@ -333,7 +335,7 @@ def test_peak_success_evaluates_under_one_percent_of_the_grid(monkeypatch):
     assert 0 < sum(columns) < 0.01 * 10_000
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: per-stage grids")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: per-stage grids")
 def test_peak_success_resolves_a_spike_narrower_than_the_grid():
     # stage 2 held for 10 t2 at M = 1e6: dense sampling reaches 0.999998,
     # the uniform 10k-point grid steps over the spike and finds 4e-6
@@ -357,21 +359,39 @@ def test_width_scan_large_stage2_detuning_halves_the_peak():
     assert peaks[0] < baseline / 2
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` with a wrapper that records each call's
+    arguments in the returned list."""
+    calls, function = [], getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_peak_success_makes_one_eigensolve_per_stage(monkeypatch, repeat):
+    spec, g1, t1, g2, t2 = _critical_rates(500)
+    schedule = [(g1, t1), (g2, t2)] + [(g1, t1 / 3), (g2, t2)] * repeat
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    frames = _count_calls(monkeypatch, dynamics, "_peak_frame")
+    peak_success(spec, schedule)
+    assert [m.shape for m, in eigh_calls] == [(7, 7)] * len(schedule)
+    assert len(frames) == 1
+
+
 @pytest.mark.parametrize("stage", [1, 2])
 def test_width_scan_diagonalises_the_fixed_stage_once(monkeypatch, stage):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    frames = _count_calls(monkeypatch, dynamics, "_peak_frame")
     spec = GraphSpec(500, 1.0)
     offsets = np.linspace(-1e-5, 1e-5, 21)
     _, peaks = width_scan(spec, stage, offsets)
-    assert calls == [(7, 7)] * 22
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert [m.shape for m, in calls] == [(7, 7)] * 22
+    assert len(frames) == 1
     for eps, p in zip(offsets[::5], peaks[::5]):
         schedule = two_stage_schedule(spec)
         gamma, duration = schedule[stage - 1]
@@ -427,25 +447,16 @@ def test_width_scan_rejects_bad_stage():
 
 @pytest.mark.parametrize("stage, searches", [(1, 54), (2, 53)])
 def test_stage_half_width_diagonalises_each_gamma_once(monkeypatch, stage, searches):
-    eigh_calls, peak_calls = [], []
-    eigh, peak = np.linalg.eigh, dynamics._peak
-
-    def counting_eigh(matrix):
-        eigh_calls.append(matrix.shape)
-        return eigh(matrix)
-
-    def counting_peak(prop, times, pieces):
-        peak_calls.append(len(times))
-        return peak(prop, times, pieces)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(dynamics, "_peak", counting_peak)
+    eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    peak_calls = _count_calls(monkeypatch, dynamics, "_peak")
+    frames = _count_calls(monkeypatch, dynamics, "_peak_frame")
     monkeypatch.setattr(dynamics, "peak_success", None)
     monkeypatch.setattr(dynamics, "width_scan", None)
     stage_half_width(GraphSpec(500, 1.0), stage)
     # one per peak search for the detuned gamma, plus the fixed stage once
     assert len(peak_calls) == searches
-    assert eigh_calls == [(7, 7)] * (searches + 1)
+    assert [m.shape for m, in eigh_calls] == [(7, 7)] * (searches + 1)
+    assert len(frames) == 1
 
 
 def test_stage_half_width_rejects_bad_stage(monkeypatch):

@@ -89,8 +89,17 @@ def test_unperturbed_pair_rejects_nonfinite_or_nonpositive_gamma():
 def test_unperturbed_eigenvalues_degenerate_at_gamma_c1():
     for w in (1.0, 3.0):
         spec = GraphSpec(1000, w)
-        _, _, e_u, e_v = unperturbed_pair(spec, predict(spec).gamma_c1)
+        pred = predict(spec)
+        _, _, e_u, e_v = unperturbed_pair(spec, pred.gamma_c1)
         assert e_u == pytest.approx(e_v, rel=0.005)
+        assert (pred.E_u, pred.E_v) == (e_u, e_v)
+
+
+def test_predict_refuses_a_weight_whose_stage1_rate_overflows():
+    assert math.isfinite(predict(GraphSpec(10, 1e-300)).gamma_c1)
+    for w in (1e-309, 5e-324):
+        with pytest.raises(ValueError, match="stage-1 rate"):
+            predict(GraphSpec(10, w))
 
 
 @pytest.mark.parametrize("M", [1000, 4000])
