@@ -115,6 +115,9 @@ def gamma_c1_exact(spec: GraphSpec) -> float:
 
     lo = 1.0 / M
     hi = max(4.0, 2 * (1 + 1 / w)) / M
+    if not math.isfinite(hi):
+        raise ValueError(
+            f"w={w} is too small: the stage-1 rate bracket 2(1 + 1/w)/M overflows")
     f_lo, f_hi = diff(lo), diff(hi)
     if f_lo * f_hi > 0:
         raise ValueError("no eigenvalue degeneracy inside the bracket")
@@ -141,6 +144,11 @@ def algebraic_connectivity_formula(M: int, w: float) -> float:
     return 2 * w / (M + 2 * w + root) * (M + 1)
 
 
+def _leading_order(M: int, w: float) -> tuple[float, float, float]:
+    """gamma_c1 = (1 + 1/w)/M and the gaps gap1 = 2(1 + w)/M^1.5, gap2 = 2/sqrt(M)."""
+    return (1 + 1 / w) / M, 2 * (1 + w) / M**1.5, 2 / math.sqrt(M)
+
+
 def predict(spec: GraphSpec) -> Prediction:
     """All closed-form quantities for one (M, w) instance."""
     M, w = spec.M, spec.w
@@ -150,12 +158,10 @@ def predict(spec: GraphSpec) -> Prediction:
             "jumping rates collide and the two-stage predictions degrade",
             stacklevel=2,
         )
-    gamma_c1 = (1 + 1 / w) / M
+    gamma_c1, gap1, gap2 = _leading_order(M, w)
     if not math.isfinite(gamma_c1):
         raise ValueError(f"w={w} is too small: the stage-1 rate (1 + 1/w)/M overflows")
     gamma_c2 = 1.0 / M
-    gap1 = 2 * (1 + w) / M**1.5
-    gap2 = 2 / math.sqrt(M)
     r_u, r_v = radicands(M, w, gamma_c1)
     e_base = -(1 + w) / w + (1 - w * w) / (w * M)
     return Prediction(
@@ -174,6 +180,37 @@ def predict(spec: GraphSpec) -> Prediction:
         lambda1=algebraic_connectivity_formula(M, w),
         op_norm_A=M + w - 1.0,
     )
+
+
+# x* > 0 with sin^2(pi/2 sqrt(1 + x^2)) / (1 + x^2) = 1/2
+_X_HALF_STAGE1 = 0.7986853552847010
+
+
+def half_width(spec: GraphSpec, stage: int) -> float:
+    """Closed-form detuning of one stage's gamma that halves the peak success.
+
+    Each stage is a two-level crossing of two diabatic energies with gap g and
+    slope s = |d(E_1 - E_2)/dgamma|, so a detuning eps gives x = s eps / g.
+    Stage 2's peak is a maximum over time, 1/(1 + x^2), which halves at x = 1;
+    its slope is M - 2, so eps = gap2 / (M - 2).  Stage 1 runs for the fixed
+    t1 = pi / gap1, so its peak is sin^2(pi/2 sqrt(1 + x^2)) / (1 + x^2),
+    which halves at x* = 0.79869; its slope at gamma_c1 = (1 + 1/w)/M is
+    |(M - 2)/2 + R_u'/(4 sqrt(R_u)) - E_v|, with R_u' = dR_u/dgamma, and
+    tends to w (1 + w), so eps tends to 2 x* / (w M^1.5).  Both over-estimate
+    the numeric half-width by the terms the two-level picture drops: the
+    numeric value is 0.92-1.0 times this one at M = 4000, w <= 3, and the
+    ratio tends to 1 as sqrt(M) / w grows.
+    """
+    M, w = spec.M, spec.w
+    gamma, gap1, gap2 = _leading_order(M, w)
+    if stage == 2:
+        return gap2 / (M - 2)
+    if stage != 1:
+        raise ValueError("stage must be 1 or 2")
+    r_u, r_v = radicands(M, w, gamma)
+    r_u_slope = 4 - 2 * M + 8 * gamma + 2 * M * M * gamma
+    slope = abs((M - 2) / 2 + r_u_slope / (4 * math.sqrt(r_u)) - _energy_v(M, w, r_v))
+    return _X_HALF_STAGE1 * gap1 / slope
 
 
 def census_formulas(M: int) -> dict[tuple[str, str, str], int]:

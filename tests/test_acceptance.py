@@ -159,6 +159,14 @@ def test_criterion_8_detuning_width_scaling():
     w2 = sw.stage_half_width(spec, 2)
     if not w1 < w2:
         failures.append(f"stage-1 half-width {w1:.3e} not below stage-2 {w2:.3e}")
+    for w in (0.5, 1.0, 2.0, 3.0):
+        spec = sw.GraphSpec(4000, w)
+        for stage in (1, 2):
+            numeric = sw.stage_half_width(spec, stage)
+            closed = sw.theory.half_width(spec, stage)
+            if abs(numeric / closed - 1) > 0.1:
+                failures.append(f"stage-{stage} half-width {numeric:.4e} not within 10% "
+                                f"of the closed form {closed:.4e} at M=4000 {w=}")
     _verdict("8 detuning width scaling", failures)
 
 

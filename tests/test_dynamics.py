@@ -1,5 +1,8 @@
 """Exact evolution, the two-stage schedule, peak detection, detuning widths."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from simplexwalk import (
     reduced_initial_state,
     run_schedule,
     stage_half_width,
+    theory,
     two_stage_schedule,
     width_scan,
 )
@@ -445,7 +449,7 @@ def test_width_scan_rejects_bad_stage():
         width_scan(GraphSpec(500, 1.0), 3, [0.0])
 
 
-@pytest.mark.parametrize("stage, searches", [(1, 54), (2, 53)])
+@pytest.mark.parametrize("stage, searches", [(1, 11), (2, 12)])
 def test_stage_half_width_diagonalises_each_gamma_once(monkeypatch, stage, searches):
     eigh_calls = _count_calls(monkeypatch, np.linalg, "eigh")
     peak_calls = _count_calls(monkeypatch, dynamics, "_peak")
@@ -457,6 +461,63 @@ def test_stage_half_width_diagonalises_each_gamma_once(monkeypatch, stage, searc
     assert len(peak_calls) == searches
     assert [m.shape for m, in eigh_calls] == [(7, 7)] * (searches + 1)
     assert len(frames) == 1
+
+
+def _reference_half_width(spec, stage):
+    """``stage_half_width`` as it was before the closed-form seed: steps of 4
+    down and 1.5 up from 1e-3 M^-1.5 to a bracket, then bisection to 1e-10
+    relative."""
+    peak = dynamics._detuned_peak(spec, stage)
+    half = peak(0.0) / 2
+    scale = spec.M ** -1.5
+    eps = 1e-3 * scale
+    while peak(eps) <= half:
+        eps /= 4.0
+        if eps < 1e-12 * scale:
+            raise RuntimeError("peak success is degraded at arbitrarily small detuning")
+    lo, hi = eps, 1.5 * eps
+    while peak(hi) > half:
+        lo = hi
+        hi *= 1.5
+        if hi > 10.0 / math.sqrt(spec.M):
+            raise RuntimeError("no halving detuning found below 10/sqrt(M)")
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if peak(mid) > half:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("M", [10, 13, 50, 500, 5000, 20000])
+def test_stage_half_width_matches_the_bisection_reference(M):
+    for w in (0.5, 1.0, 2.8):
+        for stage in (1, 2):
+            spec = GraphSpec(M, w)
+            try:
+                expected = _reference_half_width(spec, stage)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError, match=re.escape(str(exc))):
+                    stage_half_width(spec, stage)
+            else:
+                assert stage_half_width(spec, stage) == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("factor", [0.05, 20.0, math.nan])
+def test_stage_half_width_does_not_depend_on_the_seed(monkeypatch, factor):
+    cases = [(GraphSpec(M, w), stage) for M, w in [(50, 1.0), (500, 2.8)] for stage in (1, 2)]
+    expected = [stage_half_width(spec, stage) for spec, stage in cases]
+    closed_form = theory.half_width
+    monkeypatch.setattr(theory, "half_width",
+                        lambda spec, stage: factor * closed_form(spec, stage))
+    for (spec, stage), eps in zip(cases, expected):
+        assert stage_half_width(spec, stage) == pytest.approx(eps, rel=1e-9)
+    # the stage-2 peak at M = 13, w = 2.8 stays above half up to 10/sqrt(M)
+    with pytest.raises(RuntimeError, match="no halving detuning found below 10/sqrt"):
+        stage_half_width(GraphSpec(13, 2.8), 2)
 
 
 def test_stage_half_width_rejects_bad_stage(monkeypatch):

@@ -1,7 +1,11 @@
 """Eigendecomposition contract, overlaps, sweeps, and crossing location."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     GraphSpec,
@@ -231,3 +235,53 @@ def test_find_crossing_rejects_bad_eig_pair(pair):
 def test_find_crossing_requires_sign_change():
     with pytest.raises(NoCrossingError):
         find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0024, 0.003))
+
+
+def _counted(f):
+    """f, and the list its calls are recorded in."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return f(x)
+
+    return counting, calls
+
+
+_ROOT_FAMILIES = {
+    "smooth": lambda root, k: lambda x: math.atan(k * (root - x)),
+    "step": lambda root, k: lambda x: 1.0 if x < root else -1.0,
+    "flat_then_steep": lambda root, k: lambda x: (root - x) * (1e-6 if x < root else k),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_ROOT_FAMILIES)),
+    lo=st.floats(1e-6, 1e3),
+    span=st.floats(1e-4, 1e2),
+    where=st.floats(1e-3, 1.0),
+    k=st.floats(1e-2, 1e4),
+    flip=st.booleans(),
+    rel_tol=st.sampled_from([1e-12, 1e-10, 1e-6, 1e-2]),
+)
+def test_itp_keeps_bisection_worst_case_plus_n0(family, lo, span, where, k, flip, rel_tol):
+    hi = lo * (1 + span)
+    root = lo + where * (hi - lo)
+    sign = -1.0 if flip else 1.0
+    base = _ROOT_FAMILIES[family](root, k)
+    f, calls = _counted(lambda x: sign * base(x))
+    f_lo, f_hi = sign * base(lo), sign * base(hi)
+    assume(f_lo != 0)
+    x = spectral._itp(f, lo, hi, f_lo, f_hi, rel_tol)
+    assert abs(x - root) <= rel_tol * hi
+    bisection = max(0, math.ceil(math.log2((hi - lo) / (rel_tol * hi))))
+    assert len(calls) <= bisection + spectral._ITP_N0
+
+
+def test_itp_converges_faster_than_bisection_on_a_smooth_function():
+    f, calls = _counted(lambda x: 2.0 - x * x)
+    x = spectral._itp(f, 1.0, 2.0, 1.0, -2.0, 1e-12)
+    assert x == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # bisection needs ceil(log2(1 / 2e-12)) = 39 evaluations
+    assert len(calls) <= 10

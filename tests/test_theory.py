@@ -14,6 +14,7 @@ from simplexwalk import (
     edge_census,
     gamma_c1_exact,
     predict,
+    theory,
     unperturbed_pair,
     validity_margin,
 )
@@ -115,6 +116,44 @@ def test_exact_degeneracy_root_close_to_leading_order():
     for M, w in [(1000, 3.0), (1000, 1.0), (4000, 2.0), (1000, 0.25)]:
         leading = (1 + 1 / w) / M
         assert gamma_c1_exact(GraphSpec(M, w)) == pytest.approx(leading, rel=5.0 / M)
+
+
+def test_exact_degeneracy_root_refuses_a_weight_whose_bracket_overflows():
+    assert math.isfinite(gamma_c1_exact(GraphSpec(10, 1e-30)))
+    for w in (1e-308, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="too small"):
+            gamma_c1_exact(GraphSpec(10, w))
+
+
+def test_half_width_stage1_constant_halves_the_rabi_peak():
+    x = theory._X_HALF_STAGE1
+    peak = math.sin(0.5 * math.pi * math.sqrt(1 + x * x)) ** 2 / (1 + x * x)
+    assert peak == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("M, w", [(10, 0.5), (1000, 1.0), (4000, 3.0), (10**6, 15.0)])
+def test_half_width_closed_forms(M, w):
+    spec = GraphSpec(M, w)
+    pred = predict(spec)
+    assert theory.half_width(spec, 2) == pred.gap2 / (M - 2)
+    # the stage-1 slope is d(E_v - E_u)/dgamma for the energies -gamma E of
+    # H = -gamma K, taken here by a central difference of E_u
+    gamma, h = pred.gamma_c1, 1e-6 * pred.gamma_c1
+    below, above = (g * unperturbed_pair(spec, g)[2] for g in (gamma - h, gamma + h))
+    slope = abs(pred.E_v - (above - below) / (2 * h))
+    assert theory.half_width(spec, 1) == pytest.approx(
+        theory._X_HALF_STAGE1 * pred.gap1 / slope, rel=1e-6)
+    # the slope tends to w (1 + w), so both tend to their leading orders,
+    # 2 x* / (w M^1.5) and 2 / M^1.5
+    assert theory.half_width(spec, 1) * w * M**1.5 == pytest.approx(
+        2 * theory._X_HALF_STAGE1, rel=4 * (1 + w) ** 2 / M)
+    assert theory.half_width(spec, 2) * M**1.5 == pytest.approx(2.0, rel=3.0 / M)
+
+
+def test_half_width_rejects_bad_stage():
+    for stage in (0, 3):
+        with pytest.raises(ValueError, match="stage must be 1 or 2"):
+            theory.half_width(GraphSpec(100, 1.0), stage)
 
 
 def test_census_formulas_m5():
