@@ -22,11 +22,9 @@ from .graph import (
     CLASS_TAGS,
     DEFAULT_MARKED,
     GraphSpec,
-    algebraic_connectivity,
     build_adjacency,
     class_sizes,
     classify_vertices,
-    connectivity_and_norm,
     edge_census,
 )
 from .spectral import (
@@ -41,7 +39,9 @@ from .spectral import (
 )
 from .subspace import (
     ReducedBasis,
+    algebraic_connectivity,
     class_basis,
+    connectivity_and_norm,
     full_hamiltonian,
     full_initial_state,
     reduced_adjacency,

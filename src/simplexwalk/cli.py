@@ -233,15 +233,10 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_connectivity(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
-    if spec.M > 1000:
-        raise UsageError(
-            "connectivity is limited to M <= 1000 (N <= 1001000); "
-            f"got M={spec.M} (N={spec.n_vertices})"
-        )
     lam1_closed = theory.algebraic_connectivity_formula(spec.M, spec.w)
     op_norm_closed = spec.M + spec.w - 1.0
-    # Lanczos's lambda1 and ||A|| were measured within 15 eps ||A|| of the
-    # closed forms; where that is not small against lambda1, lambda1 is noise
+    # the quotient's lambda1 and ||A|| were measured within 15 eps ||A|| of
+    # the closed forms; where that is not small against lambda1, it is noise
     bound = 15 * np.finfo(float).eps * op_norm_closed
     if bound >= 1e-3 * lam1_closed:
         raise UsageError(
@@ -249,7 +244,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
             f"its error bound 15 eps ||A|| = {bound:.3g} must be below 1e-3 of "
             f"lambda1 = {lam1_closed:.3g}"
         )
-    lam1, op_norm = graph.connectivity_and_norm(spec)
+    lam1, op_norm = subspace.connectivity_and_norm(spec)
     degree = spec.M - 1 + spec.w
     payload = {
         "M": spec.M,

@@ -1,4 +1,4 @@
-"""Weighted simplex-of-complete-graphs construction and connectivity measures.
+"""Weighted simplex-of-complete-graphs construction, classes and edge census.
 
 The graph family has M + 1 clusters, each a complete graph on M vertices, for
 N = M(M + 1) vertices in total.  Vertex (i, j) is the member of cluster i that
@@ -25,7 +25,8 @@ Relative to a marked vertex the vertices fall into seven classes, tagged
 Matrices are plain dense float64 arrays, constructed exactly symmetric.  Full
 N x N construction is intended for small M (verification runs at M <= 30);
 cost grows as M^4 in memory and M^6 in eigensolve time.  The connectivity
-measures apply A matrix-free instead, in O(N) memory per Lanczos vector.
+measures need no N x N array: ``subspace`` reads them off the 7 x 7 class
+quotient.
 """
 
 from __future__ import annotations
@@ -181,86 +182,3 @@ def edge_census(spec: GraphSpec, classes: np.ndarray) -> dict[tuple[str, str, st
             lo_tag, hi_tag = divmod(int(code), 7)
             counts[(CLASS_TAGS[lo_tag], CLASS_TAGS[hi_tag], tier)] = int(tally[code])
     return counts
-
-
-def _apply_adjacency(spec: GraphSpec, x: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """A @ x without building A: within each cluster, the cluster's sum
-    minus x; across clusters, w times ``x[partner]``, ``partner = _partner(M)``."""
-    clusters = x.reshape(spec.M + 1, spec.M)
-    return (clusters.sum(axis=1, keepdims=True) - clusters).ravel() + spec.w * x[partner]
-
-
-#: Lanczos steps allowed before connectivity_and_norm gives up.  A has five
-#: distinct eigenvalues, four of them off the all-ones vector, so in exact
-#: arithmetic the Krylov space is exhausted within four steps; measured runs
-#: stop after two to six.
-_LANCZOS_MAX_STEPS = 60
-
-
-def _orthogonalise(r: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """r minus its projection on the orthonormal rows of basis.  Classical
-    Gram-Schmidt is applied twice, which keeps the rows orthonormal to
-    rounding."""
-    for _ in range(2):
-        r = r - basis.T @ (basis @ r)
-    return r
-
-
-def _ritz_tail(t: np.ndarray, theta: float) -> float:
-    """|Last entry| of the unit eigenvector of the symmetric t belonging to
-    its eigenvalue theta: the right singular vector of t - theta I for the
-    smallest singular value.  Inverse iteration would need a shift that
-    keeps t - theta I nonsingular; a few ulps were not always enough."""
-    return abs(float(np.linalg.svd(t - theta * np.eye(len(t)))[2][-1, -1]))
-
-
-def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
-    """Algebraic connectivity lambda1 and norm ||A|| from the two largest
-    eigenvalues of A, with A applied matrix-free.
-
-    Every vertex has weighted degree d = M - 1 + w, so the all-ones vector u
-    is an eigenvector of A with eigenvalue d and the Laplacian is d I - A:
-    lambda1 is the gap lambda_max(A) - lambda_2(A) between the two largest
-    adjacency eigenvalues.  A is nonnegative and the graph is connected, so
-    lambda_max is simple and equal to ||A|| (Perron-Frobenius).  It is read
-    as the Rayleigh quotient of u, and lambda_2 as the largest eigenvalue of
-    A on the complement of u.
-
-    lambda_2 comes from Lanczos with full reorthogonalisation (against u and
-    the Lanczos vectors) on A / d, whose eigenvalues lie in [-1, 1] for every
-    finite w, from a fixed-seed start vector, so identical calls return
-    identical floats.  It stops once the residual beta_k |y_k| of the
-    largest Ritz pair is at most 10 eps, and raises RuntimeError if that
-    takes more than _LANCZOS_MAX_STEPS steps.  Keeping u out of the Krylov
-    space matters at huge w, where lambda_max and lambda_2 agree to within
-    rounding and one Krylov space would merge them.  No N x N array is
-    built.
-    """
-    n = spec.n_vertices
-    degree = spec.M - 1 + spec.w
-    partner = _partner(spec.M)
-    lam_max = float(np.mean(_apply_adjacency(spec, np.ones(n), partner)))
-    basis = np.empty((_LANCZOS_MAX_STEPS + 1, n))
-    basis[0] = 1 / math.sqrt(n)
-    r = _orthogonalise(np.random.default_rng(0).standard_normal(n), basis[:1])
-    alpha: list[float] = []
-    beta: list[float] = []
-    for k in range(1, len(basis)):
-        basis[k] = r / np.linalg.norm(r)
-        r = _apply_adjacency(spec, basis[k], partner) / degree
-        alpha.append(float(basis[k] @ r))
-        r = _orthogonalise(r, basis[: k + 1])
-        beta.append(float(np.linalg.norm(r)))
-        t = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
-        theta = float(np.linalg.eigvalsh(t)[-1])
-        if beta[-1] * _ritz_tail(t, theta) <= 10 * np.finfo(float).eps:
-            return lam_max - theta * degree, lam_max
-    raise RuntimeError(
-        f"Lanczos for M={spec.M}, w={spec.w} did not converge in {_LANCZOS_MAX_STEPS} steps"
-    )
-
-
-def algebraic_connectivity(spec: GraphSpec) -> float:
-    """Second-smallest eigenvalue of the graph Laplacian; see
-    :func:`connectivity_and_norm`."""
-    return connectivity_and_norm(spec)[0]

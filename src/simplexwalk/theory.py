@@ -11,9 +11,10 @@ eigenvalues E_u, E_v exposed below are eigenvalues of the walk-side matrix
 K = -H / gamma (so larger K-eigenvalue means lower energy); their degeneracy
 in gamma defines the stage-1 critical point.
 
-The stage-1 formulas of :func:`predict` assume w grows slower than sqrt(M),
-and it warns outside that regime, where the two critical rates collide; the
-exact degeneracy root :func:`gamma_c1_exact` holds for every w > 0.
+The stage-1 formulas of :func:`predict` assume 1/M < w < sqrt(M), and it
+warns outside that regime: above it the two critical rates collide, and below
+it (1 + 1/w)/M is far from the degeneracy root.  The exact root
+:func:`gamma_c1_exact` holds for every w > 0.
 """
 
 from __future__ import annotations
@@ -149,6 +150,14 @@ def predict(spec: GraphSpec) -> Prediction:
     gamma_c1, gap1, gap2 = _leading_order(M, w)
     if not math.isfinite(gamma_c1):
         raise ValueError(f"w={w} is too small: the stage-1 rate (1 + 1/w)/M overflows")
+    if w * M <= 1:
+        # the degeneracy root tends to about 1 as w -> 0, while (1 + 1/w)/M grows
+        warnings.warn(
+            f"w={w} is not above 1/M={1 / M:.4g}; the leading-order gamma_c1="
+            f"{gamma_c1:.4g} is far from the degeneracy root gamma_c1_exact="
+            f"{gamma_c1_exact(spec):.4g}",
+            stacklevel=2,
+        )
     gamma_c2 = 1.0 / M
     r_u, r_v = radicands(M, w, gamma_c1)
     e_base = -(1 + w) / w + (1 - w * w) / (w * M)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     CLASS_TAGS,
@@ -16,9 +18,10 @@ from simplexwalk import (
     classify_vertices,
     connectivity_and_norm,
     edge_census,
+    reduced_adjacency,
 )
 from simplexwalk import graph
-from simplexwalk.graph import _apply_adjacency, _cluster_port, _partner
+from simplexwalk.graph import _cluster_port, _partner
 
 
 def test_spec_validation():
@@ -210,16 +213,6 @@ def test_algebraic_connectivity_matches_laplacian_definition(M, w):
     assert abs(algebraic_connectivity(GraphSpec(M, w)) - lam1) <= 1e-12
 
 
-@pytest.mark.parametrize("M", range(3, 13))
-@pytest.mark.parametrize("w", [0.5, 1.0, 2.0, 5.0])
-def test_apply_adjacency_matches_dense_product(M, w):
-    spec = GraphSpec(M, w)
-    x = np.random.default_rng(M).standard_normal(spec.n_vertices)
-    dense = build_adjacency(spec) @ x
-    product = _apply_adjacency(spec, x, _partner(M))
-    assert np.linalg.norm(product - dense) <= 1e-12 * np.linalg.norm(dense)
-
-
 _EPS = np.finfo(float).eps
 
 
@@ -236,8 +229,8 @@ def test_connectivity_and_norm_matches_closed_forms(M, w):
 @pytest.mark.parametrize("w", [1e16, 1e300])
 def test_connectivity_and_norm_keeps_lambda_max_apart_at_huge_w(M, w):
     # lambda_max - lambda_2 = lambda1 ~ (M + 1) / 2 is below rounding of ||A||
-    # here; one Krylov space holding the all-ones vector would merge the two
-    # and report lambda1 ~ 2 ||A||
+    # here; the two largest eigenvalues of A must still not merge into a
+    # lambda1 of order ||A||
     lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
     assert op_norm == pytest.approx(M - 1 + w, rel=1e-15)
     assert abs(lam1 - (M + 1) / 2) <= 50 * _EPS * op_norm
@@ -245,14 +238,12 @@ def test_connectivity_and_norm_keeps_lambda_max_apart_at_huge_w(M, w):
 
 @pytest.mark.parametrize("M, w", [(100, 0.5), (300, 1e6)])
 def test_connectivity_and_norm_is_deterministic(M, w):
-    # from an unseeded start vector, these would differ in the last bits
     spec = GraphSpec(M, w)
     assert connectivity_and_norm(spec) == connectivity_and_norm(spec)
 
 
-def test_connectivity_and_norm_is_matrix_free_lanczos(monkeypatch):
-    # no dense adjacency and no eigh; one eigvalsh of the k x k tridiagonal
-    # matrix per Lanczos step k = 1, 2, ...
+def test_connectivity_and_norm_is_one_7x7_eigvalsh(monkeypatch):
+    # no N x N array, no index arrays, no eigh: one eigvalsh of the reduced Laplacian
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -260,36 +251,49 @@ def test_connectivity_and_norm_is_matrix_free_lanczos(monkeypatch):
         sizes.append(np.shape(matrix))
         return eigvalsh(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(graph, "build_adjacency", None)
+    for name in ("build_adjacency", "_partner", "_cluster_port"):
+        monkeypatch.setattr(graph, name, None)
     monkeypatch.setattr(np.linalg, "eigh", None)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for M, w in [(6, 2.5), (30, 1e-9), (100, 0.5), (300, 1.0), (300, 1e6)]:
+    for M, w in [(6, 2.5), (1001, 2.0), (10**6, 2.0), (2**53, 1e-3)]:
         sizes.clear()
         lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
-        assert abs(lam1 - algebraic_connectivity_formula(M, w)) <= 50 * _EPS * op_norm
-        assert 2 <= len(sizes) <= 8
-        assert sizes == [(k, k) for k in range(1, len(sizes) + 1)]
+        assert abs(lam1 - algebraic_connectivity_formula(M, w)) <= 15 * _EPS * op_norm
+        assert sizes == [(7, 7)]
     sizes.clear()
     algebraic_connectivity(GraphSpec(6, 2.5))
-    assert 2 <= len(sizes) <= 8
+    assert sizes == [(7, 7)]
 
 
-def test_connectivity_and_norm_raises_at_the_step_cap(monkeypatch):
-    monkeypatch.setattr(graph, "_LANCZOS_MAX_STEPS", 1)
-    with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
-        connectivity_and_norm(GraphSpec(6, 2.5))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 14), st.floats(math.log10(1e-3), math.log10(1e3)))
+def test_quotient_spectrum_is_the_adjacency_spectrum(M, log10_w):
+    # vertex-transitivity puts every distinct eigenvalue of A in the class
+    # quotient, and an A-invariant subspace holds no other
+    spec = GraphSpec(M, 10.0**log10_w)
+    full = np.linalg.eigvalsh(build_adjacency(spec))
+    quotient = np.linalg.eigvalsh(reduced_adjacency(spec))
+    distance = np.abs(full[:, None] - quotient[None, :])
+    tol = 1e-10 * (M + spec.w)
+    assert np.all(distance.min(axis=1) <= tol)
+    assert np.all(distance.min(axis=0) <= tol)
 
 
-def test_connectivity_and_norm_builds_the_partner_permutation_once(monkeypatch):
-    # the gather index is built per call, not per matrix-vector product
-    calls = []
-
-    def counting(M):
-        calls.append(M)
-        return _partner(M)
-
-    monkeypatch.setattr(graph, "_partner", counting)
-    for M, w in [(6, 2.5), (100, 0.5)]:
-        calls.clear()
-        connectivity_and_norm(GraphSpec(M, w))
-        assert calls == [M]
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(math.log(3), 53 * math.log(2)),
+    st.floats(math.log10(1e-12), math.log10(1e15)),
+)
+def test_connectivity_and_norm_is_within_15_eps_of_mpmath(log_m, log10_w):
+    # the CLI refuses a lambda1 below 1000 times this bound
+    mpmath = pytest.importorskip("mpmath")
+    M = min(max(round(math.exp(log_m)), 3), 2**53)
+    w = 10.0**log10_w
+    lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
+    with mpmath.workdps(50):
+        m, x = mpmath.mpf(M), mpmath.mpf(w)
+        exact_lam1 = 2 * x * (m + 1) / (m + 2 * x + mpmath.sqrt(m * m - 4 * x + 4 * x * x))
+        exact_norm = m - 1 + x
+        bound = 15 * _EPS * exact_norm
+        assert abs(lam1 - exact_lam1) <= bound, (M, w)
+        assert abs(op_norm - exact_norm) <= bound, (M, w)

@@ -1,6 +1,7 @@
 """Closed-form predictions against their numeric counterparts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ def test_unperturbed_eigenvalues_degenerate_at_gamma_c1():
 
 
 def test_predict_refuses_a_weight_whose_stage1_rate_overflows():
-    assert math.isfinite(predict(GraphSpec(10, 1e-300)).gamma_c1)
+    with pytest.warns(UserWarning, match=r"not above 1/M"):
+        assert math.isfinite(predict(GraphSpec(10, 1e-300)).gamma_c1)
     for w in (1e-309, 5e-324):
         with pytest.raises(ValueError, match="stage-1 rate"):
             predict(GraphSpec(10, w))
@@ -305,6 +307,15 @@ def test_validity_margin_values():
 def test_predict_warns_outside_validity_regime():
     with pytest.warns(UserWarning):
         predict(GraphSpec(100, 12.0))
+
+
+def test_predict_warns_at_or_below_one_over_m():
+    # at w = 1/M the leading-order rate is about twice the degeneracy root
+    with pytest.warns(UserWarning, match=r"gamma_c1=1\.001 .* gamma_c1_exact=0\.5025"):
+        predict(GraphSpec(1000, 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predict(GraphSpec(1000, 1.1e-3))
 
 
 def test_operator_norm_field():
