@@ -20,7 +20,6 @@ from .dynamics import (
 from .graph import (
     CENSUS_KEYS,
     CLASS_TAGS,
-    DEFAULT_MARKED,
     GraphSpec,
     build_adjacency,
     class_sizes,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CENSUS_KEYS",
     "CLASS_TAGS",
-    "DEFAULT_MARKED",
     "GraphSpec",
     "NoCrossingError",
     "Prediction",

@@ -7,11 +7,11 @@ atomically (temp file + rename); without --out, output goes to stdout.  The
 SIMPLEXWALK_OUTDIR environment variable, when set, is prepended to relative
 --out paths.
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is
-either a rule of the CLI itself or an input that the library refuses with a
-ValueError; its message is printed as "error: <message>".  Each distinct
-warning a request raises is printed as one "warning: <message>" line,
-unless the request is refused.
+Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is a
+rule of the CLI itself, an --out path that cannot be written, or an input
+that the library refuses with a ValueError; its message is printed as
+"error: <message>".  Each distinct warning a request raises is printed as
+one "warning: <message>" line, unless the request is refused.
 """
 
 from __future__ import annotations
@@ -76,15 +76,20 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
     outdir = os.environ.get("SIMPLEXWALK_OUTDIR")
     if outdir and not out.is_absolute():
         out = Path(outdir) / out
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        # a file in the parent's place then fails as "Not a directory", not "File exists"
+        if not out.parent.exists():
+            out.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, out)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _json_doc(payload: dict) -> str:

@@ -58,6 +58,8 @@ def _contract(lam: np.ndarray, vecs: np.ndarray, coeff: np.ndarray, tau):
 def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
     """Propagate a state for time t under a constant symmetric generator."""
     hamiltonian = np.asarray(hamiltonian)
+    if not np.isfinite(hamiltonian).all():
+        raise ValueError("hamiltonian must be finite")
     if not np.array_equal(hamiltonian, hamiltonian.T):
         raise ValueError("hamiltonian must be symmetric")
     psi = np.asarray(state, dtype=complex)

@@ -8,10 +8,11 @@ degree M - 1 + w, and the graph is vertex-transitive.
 
 Vertices are numbered by one dense index, idx = i * M + j - (j > i) for
 vertex (i, j); conversely ``i, r = divmod(idx, M)`` and ``j = r + (r >= i)``.
-Every structure below is built from these index arrays, and a marked vertex
-is given by its dense index.
+Every structure below is built from these index arrays.  The marked vertex
+is dense index 0, vertex (0, 1); vertex-transitivity makes the choice
+immaterial, and fixing it keeps every derived output deterministic.
 
-Relative to a marked vertex the vertices fall into seven classes, tagged
+Relative to the marked vertex the vertices fall into seven classes, tagged
 ``a`` through ``g``:
 
     a  the marked vertex itself
@@ -79,12 +80,6 @@ class GraphSpec:
         return self.M * (self.M + 1)
 
 
-#: Canonical marked vertex, dense index 0: vertex (0, 1).  Vertex-transitivity
-#: makes the choice irrelevant; fixing it keeps all derived outputs
-#: deterministic.
-DEFAULT_MARKED = 0
-
-
 def _cluster_port(M: int) -> tuple[np.ndarray, np.ndarray]:
     """Cluster and port of every dense index, as two arrays of length N."""
     cluster, rest = np.divmod(np.arange(M * (M + 1)), M)
@@ -95,14 +90,6 @@ def _partner(M: int) -> np.ndarray:
     """Dense index of each vertex's weight-w partner: (port, cluster)."""
     cluster, port = _cluster_port(M)
     return port * M + cluster - (cluster > port)
-
-
-def _check_marked(spec: GraphSpec, marked: int) -> None:
-    if not isinstance(marked, (int, np.integer)) or not 0 <= marked < spec.n_vertices:
-        raise ValueError(
-            f"marked must be an integer vertex index in 0..{spec.n_vertices - 1}; "
-            f"got {marked!r}"
-        )
 
 
 def class_sizes(M: int) -> dict[str, int]:
@@ -132,20 +119,18 @@ def build_adjacency(spec: GraphSpec) -> np.ndarray:
     return adj
 
 
-def classify_vertices(spec: GraphSpec, marked: int = DEFAULT_MARKED) -> np.ndarray:
-    """Class of every vertex relative to the marked one, as an int array of
-    length N indexing CLASS_TAGS."""
-    _check_marked(spec, marked)
+def classify_vertices(spec: GraphSpec) -> np.ndarray:
+    """Class of every vertex relative to the marked vertex (0, 1), as an int
+    array of length N indexing CLASS_TAGS."""
     cluster, port = _cluster_port(spec.M)
-    i0, j0 = cluster[marked], port[marked]
     # in CLASS_TAGS order; np.select takes the first predicate that holds
     predicates = [
-        np.arange(spec.n_vertices) == marked,
-        cluster == i0,
-        (cluster == j0) & (port == i0),
-        cluster == j0,
-        port == i0,
-        port == j0,
+        np.arange(spec.n_vertices) == 0,
+        cluster == 0,
+        (cluster == 1) & (port == 0),
+        cluster == 1,
+        port == 0,
+        port == 1,
     ]
     return np.select(predicates, range(6), default=6)
 

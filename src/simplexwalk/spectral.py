@@ -44,6 +44,8 @@ def eigh(matrix: np.ndarray) -> Spectrum:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must be finite")
     if not (matrix == matrix.swapaxes(-1, -2)).all():
         raise ValueError("matrix must be symmetric")
     values, vectors = np.linalg.eigh(matrix)
@@ -85,7 +87,6 @@ class SweepResult:
     probe>|^2 at gamma = gammas[i] for k = 0..6.
     """
 
-    spec: GraphSpec
     gammas: np.ndarray
     curves: dict[str, np.ndarray]
 
@@ -105,7 +106,7 @@ def gamma_sweep(
     stack[:, 0, 0] -= 1.0  # reduced_hamiltonian at each gamma, bit for bit
     spectra = eigh(stack)
     curves = {tag: overlaps(spectra, probe_state(spec, tag)) for tag in PROBE_TAGS}
-    return SweepResult(spec=spec, gammas=gammas, curves=curves)
+    return SweepResult(gammas=gammas, curves=curves)
 
 
 def _bisect(f, lo: float, hi: float, rel_tol: float) -> float:
@@ -181,14 +182,14 @@ def find_crossing(
     probe: str,
     eig_pair: tuple[int, int],
     bracket: tuple[float, float],
-    rel_tol: float = 1e-10,
 ) -> float:
     """Locate the gamma where the probe's overlap moves between two eigenstates.
 
     Bisects the sign change of |<psi_j|probe>|^2 - |<psi_k|probe>|^2 on the
-    bracket.  At the crossing of an avoided degeneracy the probe splits half
-    and half; for M >= 100 both overlaps are required to be within 0.1 of 1/2,
-    otherwise the sign change is rejected as spurious.
+    bracket to a relative width of 1e-10.  At the crossing of an avoided
+    degeneracy the probe splits half and half; for M >= 100 both overlaps are
+    required to be within 0.1 of 1/2, otherwise the sign change is rejected
+    as spurious.
     """
     j, k = eig_pair
     if j == k or not all(isinstance(i, (int, np.integer)) and 0 <= i <= 6 for i in (j, k)):
@@ -196,8 +197,6 @@ def find_crossing(
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
-    if not 0 <= rel_tol < 1:
-        raise ValueError(f"rel_tol must satisfy 0 <= rel_tol < 1; got {rel_tol!r}")
     probe_vec = probe_state(spec, probe)
 
     def diff(gamma: float) -> float:
@@ -211,7 +210,7 @@ def find_crossing(
             f"{j} and {k} in [{lo:g}, {hi:g}]"
         )
     sign = 1.0 if f_lo > 0 else -1.0
-    gamma_star = _bisect(lambda gamma: sign * diff(gamma), lo, hi, rel_tol)
+    gamma_star = _bisect(lambda gamma: sign * diff(gamma), lo, hi, 1e-10)
     if spec.M >= 100:
         ov = overlaps(eigh(reduced_hamiltonian(spec, gamma_star)), probe_vec)
         if abs(ov[j] - 0.5) > 0.1 or abs(ov[k] - 0.5) > 0.1:

@@ -19,48 +19,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (
-    CLASS_TAGS,
-    DEFAULT_MARKED,
-    GraphSpec,
-    _check_marked,
-    build_adjacency,
-    class_sizes,
-    classify_vertices,
-)
+from .graph import CLASS_TAGS, GraphSpec, build_adjacency, class_sizes, classify_vertices
 
 
 @dataclass(frozen=True, eq=False)
 class ReducedBasis:
     """Orthonormal class basis: row k of ``matrix`` is the uniform superposition
-    over class CLASS_TAGS[k], as a full-space row vector.  ``marked`` is the
-    marked vertex's dense index."""
+    over class CLASS_TAGS[k], as a full-space row vector.  ``matrix`` maps a
+    full-space state to its seven class components."""
 
-    spec: GraphSpec
-    marked: int
     matrix: np.ndarray  # shape (7, N)
 
-    def project(self, full_state: np.ndarray) -> np.ndarray:
-        """Components of a full-space state along the seven class vectors."""
-        full_state = np.asarray(full_state)
-        if full_state.shape != (self.spec.n_vertices,):
-            raise ValueError("full state has wrong dimension")
-        return self.matrix @ full_state
-
     def lift(self, reduced_state: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`project`; isometric embedding into the full space."""
+        """Adjoint of ``matrix``; isometric embedding into the full space."""
         reduced_state = np.asarray(reduced_state)
         if reduced_state.shape != (7,):
             raise ValueError("reduced state has wrong dimension")
         return self.matrix.T @ reduced_state
 
 
-def class_basis(spec: GraphSpec, marked: int = DEFAULT_MARKED) -> ReducedBasis:
-    classes = classify_vertices(spec, marked)
+def class_basis(spec: GraphSpec) -> ReducedBasis:
+    classes = classify_vertices(spec)
     mat = np.zeros((7, spec.n_vertices))
     mat[classes, np.arange(spec.n_vertices)] = 1.0
     mat /= np.sqrt(mat.sum(axis=1, keepdims=True))
-    return ReducedBasis(spec=spec, marked=marked, matrix=mat)
+    return ReducedBasis(matrix=mat)
 
 
 def reduced_adjacency(spec: GraphSpec) -> np.ndarray:
@@ -144,13 +127,10 @@ def full_initial_state(spec: GraphSpec) -> np.ndarray:
     return np.full(n, 1.0 / np.sqrt(float(n)), dtype=complex)
 
 
-def full_hamiltonian(
-    spec: GraphSpec, gamma: float, marked: int = DEFAULT_MARKED
-) -> np.ndarray:
-    """Search generator -gamma * A - |marked><marked| on the full vertex space."""
+def full_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
+    """Search generator -gamma * A - |a><a| on the full vertex space."""
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("gamma must be finite and > 0")
-    _check_marked(spec, marked)
     ham = -gamma * build_adjacency(spec)
-    ham[marked, marked] -= 1.0
+    ham[0, 0] -= 1.0
     return ham

@@ -403,6 +403,15 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     assert payload["gamma_c2"] == 0.1
 
 
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    for out in (tmp_path, tmp_path / "taken" / "x.csv"):
+        code, out_text, err = _run(capsys, "census", "--M", "5", "--out", str(out))
+        _assert_refused(code, out_text, err)
+        assert f"--out {out}:" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()

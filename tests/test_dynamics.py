@@ -74,6 +74,16 @@ def test_evolve_rejects_nonfinite_time():
             evolve(ham, psi, t)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_evolve_rejects_nonfinite_hamiltonian(bad):
+    # refused as non-finite before the symmetry check, which nan would fail
+    ham, psi = _ham_and_state()
+    ham[2, 3] = ham[3, 2] = bad
+    for matrix, state in (([[bad]], [1.0]), (ham, psi)):
+        with pytest.raises(ValueError, match="must be finite"):
+            evolve(matrix, state, 1.0)
+
+
 def test_two_stage_run_w1():
     spec = GraphSpec(1000, 1.0)
     schedule = two_stage_schedule(spec)
@@ -339,7 +349,7 @@ def test_peak_success_evaluates_under_one_percent_of_the_grid(monkeypatch):
     assert 0 < sum(columns) < 0.01 * 10_000
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: per-stage grids")
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: certified peak search")
 def test_peak_success_resolves_a_spike_narrower_than_the_grid():
     # stage 2 held for 10 t2 at M = 1e6: dense sampling reaches 0.999998,
     # the uniform 10k-point grid steps over the spike and finds 4e-6

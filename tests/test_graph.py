@@ -114,13 +114,10 @@ def test_class_sizes_m3():
     assert dict(sizes) == class_sizes(3)
 
 
-def test_classify_m5_against_adjacency_walk():
+def _classes_by_adjacency_walk(adj, a):
     # Oracle: reconstruct the classes purely by walking the adjacency matrix
-    # outward from the marked vertex (w = 2 so the two edge kinds differ).
-    spec = GraphSpec(5, 2.0)
-    marked = 0  # vertex (0, 1)
-    adj = build_adjacency(spec)
-    n = spec.n_vertices
+    # outward from vertex a (w = 2 so the two edge kinds differ).
+    n = adj.shape[0]
 
     def heavy(i):
         return {j for j in range(n) if adj[i, j] == 2.0}
@@ -128,18 +125,22 @@ def test_classify_m5_against_adjacency_walk():
     def light(i):
         return {j for j in range(n) if adj[i, j] == 1.0}
 
-    a = marked
     (c,) = heavy(a)
     b = light(a)
     d = light(c)
     e = {j for i in b for j in heavy(i)}
     f = {j for i in d for j in heavy(i)}
     g = set(range(n)) - {a, c} - b - d - e - f
-    expected = {a: "a", c: "c"}
+    classes = {a: "a", c: "c"}
     for members, tag in ((b, "b"), (d, "d"), (e, "e"), (f, "f"), (g, "g")):
-        expected.update({i: tag for i in members})
+        classes.update({i: tag for i in members})
+    return classes
 
-    classes = classify_vertices(spec, marked)
+
+def test_classify_m5_against_adjacency_walk():
+    spec = GraphSpec(5, 2.0)
+    expected = _classes_by_adjacency_walk(build_adjacency(spec), 0)  # vertex (0, 1)
+    classes = classify_vertices(spec)
     assert {i: CLASS_TAGS[k] for i, k in enumerate(classes)} == expected
     # c is the unique weight-w neighbor of the marked vertex: (1, 0), index 5
     assert CLASS_TAGS[classes[5]] == "c"
@@ -148,9 +149,12 @@ def test_classify_m5_against_adjacency_walk():
 
 
 def test_class_size_multiset_independent_of_marked_vertex():
+    # The marked vertex is fixed at index 0; vertex-transitivity makes that
+    # choice immaterial, so walking out from any vertex gives the same sizes.
     spec = GraphSpec(4, 2.0)
+    adj = build_adjacency(spec)
     for marked in range(spec.n_vertices):
-        sizes = Counter(CLASS_TAGS[k] for k in classify_vertices(spec, marked))
+        sizes = Counter(_classes_by_adjacency_walk(adj, marked).values())
         assert dict(sizes) == class_sizes(4)
 
 

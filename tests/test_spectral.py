@@ -30,6 +30,14 @@ def test_eigh_rejects_nonsymmetric():
         eigh(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_eigh_rejects_nonfinite_entries(bad):
+    # refused as non-finite before the symmetry check, which nan would fail
+    for matrix in ([[bad]], [[0.0, bad], [bad, 0.0]], np.full((3, 2, 2), bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            eigh(matrix)
+
+
 def test_eigh_reconstruction_and_determinism():
     ham = reduced_hamiltonian(GraphSpec(50, 2.0), 0.03)
     s1 = eigh(ham)
@@ -202,17 +210,9 @@ def test_sweep_rejects_bad_range():
     assert len(gamma_sweep(GraphSpec(5, 1.0), (0.1, 0.3), np.int64(2)).gammas) == 2
 
 
-def test_find_crossing_stage1(monkeypatch):
+def test_find_crossing_stage1():
     gamma = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025))
     assert gamma == pytest.approx(0.002, rel=0.05)
-    # a tolerance below float resolution stops there instead of looping
-    finest = find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0015, 0.0025), 0.0)
-    assert finest == pytest.approx(gamma, rel=1e-9)
-    # a tolerance outside [0, 1) is refused before any eigensolve
-    monkeypatch.setattr(np.linalg, "eigh", None)
-    for rel_tol in (np.nan, np.inf, 1.0, -1e-10):
-        with pytest.raises(ValueError, match="rel_tol"):
-            find_crossing(GraphSpec(20, 1.0), "s", (0, 1), (0.05, 0.2), rel_tol)
 
 
 def test_find_crossing_stage1_w3():
@@ -246,6 +246,24 @@ def _counted(f):
         return f(x)
 
     return counting, calls
+
+
+@pytest.mark.parametrize(
+    "lo,hi,rel_tol",
+    [
+        # a tolerance of 0 is never met
+        pytest.param(0.0015, 0.0025, 0.0, id="zero_tolerance"),
+        # 1e-10 * hi underflows to 0 among subnormals
+        pytest.param(1e-316, 3e-316, 1e-10, id="subnormal_bracket"),
+    ],
+)
+def test_bisect_stops_at_float_resolution(lo, hi, rel_tol):
+    root = lo + 0.3 * (hi - lo)
+    f, calls = _counted(lambda x: root - x)
+    x = spectral._bisect(f, lo, hi, rel_tol)
+    # x is within one float of the root, reached by halving the bracket
+    assert math.nextafter(x, 0.0) <= root <= math.nextafter(x, 1.0)
+    assert len(calls) <= 60
 
 
 _ROOT_FAMILIES = {

@@ -1,12 +1,12 @@
-"""Class basis, reduced matrices, lift/project maps, invariance of the subspace."""
+"""Class basis, reduced matrices, the lift map, invariance of the subspace."""
 
 import numpy as np
 import pytest
 
 from simplexwalk import (
     GraphSpec,
+    build_adjacency,
     class_basis,
-    classify_vertices,
     evolve,
     full_hamiltonian,
     full_initial_state,
@@ -14,6 +14,7 @@ from simplexwalk import (
     reduced_hamiltonian,
     reduced_initial_state,
 )
+from simplexwalk.graph import _cluster_port
 
 S2 = np.sqrt(2.0)
 
@@ -77,7 +78,7 @@ def test_project_lift_round_trip():
     rng = np.random.default_rng(7)
     reduced = rng.normal(size=7) + 1j * rng.normal(size=7)
     reduced /= np.linalg.norm(reduced)
-    assert np.allclose(basis.project(basis.lift(reduced)), reduced, atol=1e-12)
+    assert np.allclose(basis.matrix @ basis.lift(reduced), reduced, atol=1e-12)
     assert np.linalg.norm(basis.lift(reduced)) == pytest.approx(
         np.linalg.norm(reduced), abs=1e-12
     )
@@ -88,7 +89,7 @@ def test_lift_of_marked_unit_vector_is_indicator():
     basis = class_basis(spec)
     lifted = basis.lift(np.eye(7)[0])
     expected = np.zeros(spec.n_vertices)
-    expected[0] = 1.0  # vertex (0, 1), the default marked vertex
+    expected[0] = 1.0  # vertex (0, 1), the marked vertex
     assert np.array_equal(lifted, expected)
 
 
@@ -96,7 +97,7 @@ def test_project_of_equal_superposition_is_initial_state():
     spec = GraphSpec(6, 2.0)
     basis = class_basis(spec)
     assert np.allclose(
-        basis.project(full_initial_state(spec)),
+        basis.matrix @ full_initial_state(spec),
         reduced_initial_state(spec),
         atol=1e-12,
     )
@@ -104,7 +105,7 @@ def test_project_of_equal_superposition_is_initial_state():
 
 def test_projected_basis_vector_is_unit_vector():
     basis = class_basis(GraphSpec(5, 1.0))
-    assert np.allclose(basis.project(basis.lift(np.eye(7)[1])), np.eye(7)[1], atol=1e-12)
+    assert np.allclose(basis.matrix @ basis.lift(np.eye(7)[1]), np.eye(7)[1], atol=1e-12)
 
 
 def test_basis_rows_orthonormal():
@@ -115,8 +116,6 @@ def test_basis_rows_orthonormal():
 
 def test_dimension_mismatch_rejected():
     basis = class_basis(GraphSpec(5, 1.0))
-    with pytest.raises(ValueError):
-        basis.project(np.zeros(7))
     with pytest.raises(ValueError):
         basis.lift(np.zeros(30))
 
@@ -160,24 +159,27 @@ def test_evolution_never_leaks_out_of_subspace(t):
 
 
 def test_reduced_hamiltonian_identical_for_every_marked_vertex():
+    # Vertex-transitivity, on which fixing the marked vertex at dense index 0
+    # and connectivity_and_norm rest: for each vertex v = (i0, j0), relabel
+    # the clusters so that i0 -> 0 and j0 -> 1.  The permutation P this
+    # induces on vertices keeps A exactly and moves the generator marked at v
+    # to the one marked at 0, which the class basis reduces as usual.
     spec = GraphSpec(4, 2.5)
-    gamma = 0.5
+    M, n, gamma = spec.M, spec.n_vertices, 0.5
+    adj = build_adjacency(spec)
+    cluster, port = _cluster_port(M)
+    basis = class_basis(spec).matrix
     reference = reduced_hamiltonian(spec, gamma)
-    for marked in range(spec.n_vertices):
-        basis = class_basis(spec, marked)
-        projected = basis.matrix @ full_hamiltonian(spec, gamma, marked) @ basis.matrix.T
-        assert np.max(np.abs(projected - reference)) <= 1e-10
-
-
-def test_marked_must_be_a_vertex_index():
-    spec = GraphSpec(4, 2.5)
-    builds = (
-        lambda marked: classify_vertices(spec, marked),
-        lambda marked: class_basis(spec, marked),
-        lambda marked: full_hamiltonian(spec, 0.5, marked),
-    )
-    for build in builds:
-        for marked in (-1, spec.n_vertices, 1.5):
-            with pytest.raises(ValueError, match="marked"):
-                build(marked)
-    assert class_basis(spec, np.int64(19)).marked == 19
+    for v in range(n):
+        i0, j0 = cluster[v], port[v]
+        relabel = np.array([i0, j0] + [k for k in range(M + 1) if k not in (i0, j0)])
+        relabel = np.argsort(relabel)  # relabel[old cluster] = new cluster
+        i, j = relabel[cluster], relabel[port]
+        perm = np.zeros((n, n))
+        perm[i * M + j - (j > i), np.arange(n)] = 1.0
+        assert np.array_equal(perm[:, v], np.eye(n)[0])
+        assert np.array_equal(perm @ adj @ perm.T, adj)
+        ham_v = -gamma * adj
+        ham_v[v, v] -= 1.0
+        reduced = (basis @ perm) @ ham_v @ (basis @ perm).T
+        assert np.max(np.abs(reduced - reference)) <= 1e-10
