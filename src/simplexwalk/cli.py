@@ -33,7 +33,6 @@ from .dynamics import Stage
 _SWEEP_POINTS = 500
 _EVOLVE_SAMPLES = 2000
 _WIDTH_OFFSETS = 41
-_CSV_BLOCK_ROWS = 256
 
 
 class UsageError(Exception):
@@ -97,17 +96,13 @@ def _json_doc(payload: dict) -> str:
 
 
 def _csv_doc(comments: list[str], header: str, columns) -> str:
-    """Comment lines, the header, then one row of ``_fmt`` cells per row of
-    the columns (1-D arrays, or 2-D blocks of adjacent columns).  One ``%``
-    formats each block of ``_CSV_BLOCK_ROWS`` rows: one for the whole
-    document raised the peak RSS of long series.  Comments never pass it."""
-    table = np.column_stack(columns)
-    row_fmt = ",".join(["%.12g"] * table.shape[1])
-    lines = comments + [header]
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    """Comment lines, the header, then one row of ``"%.12g"`` cells per row
+    of the columns (1-D arrays, or 2-D blocks of adjacent columns).  The rows
+    come from ``csvformat.format_rows``; comments and the header are written
+    as they are."""
+    from . import csvformat  # imported on the first CSV, like its tables
+
+    return "\n".join(comments + [header]) + "\n" + csvformat.format_rows(np.column_stack(columns))
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

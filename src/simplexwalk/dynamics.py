@@ -65,6 +65,8 @@ def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (hamiltonian.shape[0],):
         raise ValueError("state dimension does not match hamiltonian")
+    if not np.isfinite(psi).all():
+        raise ValueError("state must be finite")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     lam, vecs = np.linalg.eigh(hamiltonian)

@@ -16,7 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import GraphSpec
-from .subspace import reduced_adjacency, reduced_hamiltonian, reduced_initial_state
+from .subspace import (
+    check_generator_scale,
+    reduced_adjacency,
+    reduced_hamiltonian,
+    reduced_initial_state,
+)
 
 PROBE_TAGS = ("s", "a", "b")
 
@@ -101,6 +106,7 @@ def gamma_sweep(
         raise ValueError("gamma range must be finite and satisfy 0 < lo < hi")
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise ValueError("points must be an integer >= 2")
+    check_generator_scale(spec, hi)
     gammas = np.linspace(lo, hi, points)
     stack = -gammas[:, None, None] * reduced_adjacency(spec)
     stack[:, 0, 0] -= 1.0  # reduced_hamiltonian at each gamma, bit for bit

@@ -35,6 +35,8 @@ class ReducedBasis:
         reduced_state = np.asarray(reduced_state)
         if reduced_state.shape != (7,):
             raise ValueError("reduced state has wrong dimension")
+        if not np.isfinite(reduced_state).all():
+            raise ValueError("reduced state must be finite")
         return self.matrix.T @ reduced_state
 
 
@@ -102,6 +104,19 @@ def algebraic_connectivity(spec: GraphSpec) -> float:
     return connectivity_and_norm(spec)[0]
 
 
+def check_generator_scale(spec: GraphSpec, gamma: float) -> None:
+    """Refuse a gamma at which -gamma * A overflows.
+
+    ||A|| = M - 1 + w bounds every entry and eigenvalue of A, so the
+    generator's entries and spectrum are finite when gamma * ||A|| is.
+    """
+    if not math.isfinite(gamma * (spec.M - 1.0 + spec.w)):
+        raise ValueError(
+            f"gamma={gamma:g} at w={spec.w:g} overflows the search generator: "
+            "gamma * ||A|| = gamma * (M - 1 + w) exceeds the float range"
+        )
+
+
 def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     """Search generator -gamma * A - |a><a| in the class basis.
 
@@ -110,6 +125,7 @@ def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("gamma must be finite and > 0")
+    check_generator_scale(spec, gamma)
     ham = -gamma * reduced_adjacency(spec)
     ham[0, 0] -= 1.0
     return ham

@@ -1,14 +1,20 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexwalk import cli, subspace
+import simplexwalk
+from simplexwalk import cli, csvformat, subspace
 from simplexwalk.cli import _csv_doc, _fmt, main
 
 
@@ -88,6 +94,12 @@ def test_sweep_crossing_positions(capsys):
     (idx,) = np.nonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
     crossing = 0.5 * (data[idx[0], 0] + data[idx[0] + 1, 0])
     assert crossing == pytest.approx(0.002, rel=0.05)
+
+
+def test_sweep_refuses_a_generator_that_overflows(capsys):
+    code, out, err = _run(capsys, "sweep", "--M", "10", "--w", "1e308", "--lo", "1", "--hi", "2")
+    _assert_refused(code, out, err)
+    assert "gamma=2 at w=1e+308 overflows" in err
 
 
 def test_sweep_rejects_inverted_range(capsys):
@@ -201,7 +213,12 @@ def _per_row_csv_doc(comments, header, columns):
     return "\n".join(comments + [header] + [row_fmt % tuple(row) for row in rows]) + "\n"
 
 
-@pytest.mark.parametrize("rows", [1, 255, 256, 257, 513, 10_001])
+# rows of width 4 on either side of the first block boundary
+_BLOCK_ROWS = csvformat._BLOCK_CELLS // 4
+
+
+@pytest.mark.parametrize(
+    "rows", [1, 255, 256, 257, 513, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 10_001])
 @pytest.mark.parametrize("width", [4, 22])
 def test_csv_doc_blocks_match_the_per_row_formatter(rows, width):
     rng = np.random.default_rng(rows + width)
@@ -212,6 +229,64 @@ def test_csv_doc_blocks_match_the_per_row_formatter(rows, width):
     doc = _csv_doc(comments, "h,%d", columns)
     assert doc == _per_row_csv_doc(comments, "h,%d", columns)
     assert doc.count("\n") == rows + 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda width: st.lists(st.lists(st.floats(), min_size=width, max_size=width),
+                           min_size=1, max_size=40)))
+def test_csv_doc_equals_the_per_row_formatter_on_any_float(rows):
+    columns = [np.array(rows)]
+    assert _csv_doc(["# h"], "h", columns) == _per_row_csv_doc(["# h"], "h", columns)
+
+
+def _csv_edge_values():
+    """Values at each decision of the vectorised cell formatter."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-310, 309):
+        tens = float(f"1e{k}")
+        values += [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]
+        # the mantissa carries into the exponent; ties at the 12th digit
+        for digits in ("9.9999999999995", "9.99999999999949", "9.999999999995",
+                       "1.234567890125", "1.2345678901249999", "1.2345678901250001",
+                       "5.0000000000005", "1.0000000000005"):
+            values.append(float(f"{digits}e{k}"))
+    # the switches between fixed and scientific notation at e = -5/-4 and 11/12
+    values += [1e-5, 9.99999999999e-6, 9.999999999995e-5, 9.99999999999949e-5,
+               1.00000000000001e-4, 99999999999.95, 99999999999.94, 999999999999.5,
+               999999999999.4, 999999999999.0, 1e12, 123456789012.5, 0.1 + 0.2]
+    values = np.array(values)
+    values = values[np.isfinite(values)]
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_csv_doc_equals_the_per_row_formatter_at_edge_values(width):
+    values = _csv_edge_values()
+    values = np.concatenate([values, np.zeros(-len(values) % width)]).reshape(-1, width)
+    assert _csv_doc([], "h", [values]) == _per_row_csv_doc([], "h", [values])
+
+
+def test_csv_tables_are_built_on_the_first_csv_not_at_import(tmp_path):
+    # a fresh interpreter: --help neither imports the formatter nor builds its
+    # tables, a sweep builds them
+    code = (
+        "import sys, simplexwalk.cli\n"
+        "simplexwalk.cli.main(['--help'])\n"
+        "print('simplexwalk.csvformat' in sys.modules)\n"
+        "import simplexwalk.csvformat as f\n"
+        "print(f._tables.cache_info().currsize)\n"
+        "simplexwalk.cli.main(['sweep', '--M', '10', '--lo', '1', '--hi', '2', '--out', sys.argv[1]])\n"
+        "print(f._tables.cache_info().currsize)\n"
+    )
+    src = str(Path(simplexwalk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "sweep.csv")], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60,
+    ).stdout
+    assert out.startswith("usage: simplexwalk")
+    assert out.splitlines()[-3:] == ["False", "0", "1"]
 
 
 def test_census_output(capsys):

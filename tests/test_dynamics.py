@@ -84,6 +84,15 @@ def test_evolve_rejects_nonfinite_hamiltonian(bad):
             evolve(matrix, state, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_evolve_rejects_nonfinite_state(bad):
+    ham, psi = _ham_and_state(M=5, gamma=0.4)
+    psi[3] = bad
+    for state in (psi, [bad, 0, 0, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="state must be finite"):
+            evolve(ham, state, 1.0)
+
+
 def test_two_stage_run_w1():
     spec = GraphSpec(1000, 1.0)
     schedule = two_stage_schedule(spec)

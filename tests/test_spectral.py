@@ -1,6 +1,7 @@
 """Eigendecomposition contract, overlaps, sweeps, and crossing location."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ def _grid_crossing(result, tag, pair):
     (idx,) = np.nonzero(np.sign(diff[:-1]) != np.sign(diff[1:]))
     assert len(idx) >= 1
     return 0.5 * (result.gammas[idx[0]] + result.gammas[idx[0] + 1])
+
+
+def test_sweep_and_crossing_refuse_a_generator_that_overflows():
+    spec = GraphSpec(10, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy overflows
+        with pytest.raises(ValueError, match="gamma=2 at w=1e\\+308 overflows"):
+            gamma_sweep(spec, (1.0, 2.0), 5)
+        with pytest.raises(ValueError, match="gamma=2 at w=1e\\+308 overflows"):
+            find_crossing(spec, "s", (0, 1), (1.0, 2.0))
+    assert len(gamma_sweep(spec, (1e-9, 1.0), 5).gammas) == 5
 
 
 def test_sweep_reproduces_both_crossings_w1():

@@ -1,5 +1,7 @@
 """Class basis, reduced matrices, the lift map, invariance of the subspace."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def test_reduced_hamiltonian_rejects_nonpositive_gamma():
         for gamma in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError):
                 build(GraphSpec(5, 1.0), gamma)
+
+
+# the last case overflows only in the sqrt(M - 1) entries
+@pytest.mark.parametrize("M, w, gamma",
+                         [(10, 1e308, 2.0), (10, 1e300, 1e9), (1000, 1.0, 1e306), (3, 0.5, 1.5e308)])
+def test_reduced_hamiltonian_refuses_a_generator_that_overflows(M, w, gamma):
+    spec = GraphSpec(M, w)
+    with pytest.raises(ValueError, match=re.escape(f"gamma={gamma:g} at w={w:g} overflows")):
+        reduced_hamiltonian(spec, gamma)
+    # just below the edge the generator is built, and finite
+    ham = reduced_hamiltonian(spec, 0.5 * np.finfo(float).max / (M - 1.0 + w))
+    assert np.isfinite(ham).all()
 
 
 def test_stage1_gap_near_closed_form():
@@ -118,6 +132,15 @@ def test_dimension_mismatch_rejected():
     basis = class_basis(GraphSpec(5, 1.0))
     with pytest.raises(ValueError):
         basis.lift(np.zeros(30))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lift_rejects_nonfinite_state(bad):
+    basis = class_basis(GraphSpec(5, 1.0))
+    state = np.full(7, 0.5 + 0j)
+    state[6] = bad
+    with pytest.raises(ValueError, match="reduced state must be finite"):
+        basis.lift(state)
 
 
 @pytest.mark.parametrize("M", range(3, 9))
