@@ -38,7 +38,6 @@ from .spectral import (
 )
 from .subspace import (
     ReducedBasis,
-    algebraic_connectivity,
     class_basis,
     connectivity_and_norm,
     full_hamiltonian,
@@ -70,7 +69,6 @@ __all__ = [
     "Stage",
     "SweepResult",
     "TimeSeries",
-    "algebraic_connectivity",
     "algebraic_connectivity_formula",
     "build_adjacency",
     "census_formulas",

@@ -9,14 +9,16 @@ SIMPLEXWALK_OUTDIR environment variable, when set, is prepended to relative
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is a
 rule of the CLI itself, an --out path that cannot be written, or an input
-that the library refuses with a ValueError; its message is printed as
-"error: <message>".  Each distinct warning a request raises is printed as
-one "warning: <message>" line, unless the request is refused.
+that the library refuses with a ValueError, or a request too large for
+memory; its message is printed as "error: <message>".  Each distinct
+warning a request raises is printed as one "warning: <message>" line,
+unless the request is refused.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -108,7 +110,7 @@ def _csv_doc(comments: list[str], header: str, columns) -> str:
 def cmd_predict(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
     payload: dict = {"M": spec.M, "w": spec.w}
-    payload.update(theory.predict(spec).to_dict())
+    payload.update(dataclasses.asdict(theory.predict(spec)))
     payload["validity_margin"] = theory.validity_margin(spec)
     _write_output(args, _json_doc(payload))
     return 0
@@ -160,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "verify builds the full vertex space and is limited to M <= 30 "
             f"(N <= 930); got M={spec.M}"
         )
-    gamma = args.gamma if args.gamma is not None else theory.predict(spec).gamma_c1
+    gamma = args.gamma if args.gamma is not None else dynamics.two_stage_schedule(spec)[0].gamma
 
     ham_red = subspace.reduced_hamiltonian(spec, gamma)
     # Rounding grows with the generator's norm, bounded by gamma * ||A|| plus
@@ -272,12 +274,12 @@ def cmd_width(args: argparse.Namespace) -> int:
     per_side = (args.offsets - 1) // 2
     positive = np.logspace(np.log10(lo), np.log10(hi), per_side)
     eps_grid = np.concatenate([-positive[::-1], [0.0], positive])
-    offsets, peaks = dynamics.width_scan(spec, args.stage, eps_grid)
+    peaks = dynamics.width_scan(spec, args.stage, eps_grid)
     _write_output(args, _csv_doc(
         [f"# simplexwalk {__version__} width M={spec.M} w={_fmt(spec.w)} "
          f"stage={args.stage} gamma_c={_fmt(gamma_c)} offsets={args.offsets}"],
         "epsilon,p_peak",
-        [offsets, peaks],
+        [eps_grid, peaks],
     ))
     return 0
 
@@ -322,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full-space vs reduced-space checks (M <= 30)")
     common(p)
-    p.add_argument("--gamma", type=float, help="jumping rate (default: stage-1 critical)")
+    p.add_argument("--gamma", type=float,
+                   help="jumping rate (default: the schedule's stage-1 rate)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="edge census by class pair and weight tier")
@@ -363,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
             code = args.func(args)
         except (UsageError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: the request does not fit in memory{detail}", file=sys.stderr)
             return 2
         except CheckFailure as exc:
             code, failure = 1, exc

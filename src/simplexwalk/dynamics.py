@@ -312,15 +312,12 @@ def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
     return peak
 
 
-def width_scan(
-    spec: GraphSpec, stage: int, offsets: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
+def width_scan(spec: GraphSpec, stage: int, offsets: Sequence[float]) -> np.ndarray:
     """Peak success probability of the two-stage schedule as one stage's gamma
     is detuned by each offset; the other stage stays at its critical value
     and is diagonalised once for the whole scan."""
     peak = _detuned_peak(spec, stage)
-    offsets = np.asarray(offsets, dtype=float)
-    return offsets, np.array([peak(eps) for eps in offsets])
+    return np.array([peak(eps) for eps in np.asarray(offsets, dtype=float)])
 
 
 def stage_half_width(spec: GraphSpec, stage: int) -> float:
@@ -368,14 +365,14 @@ def stage_half_width(spec: GraphSpec, stage: int) -> float:
 def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     """Stage-1 duration that maximizes the marked-cluster probability.
 
-    Scans prob_b under the stage-1 critical generator on 20,001 points of
-    [0, 1.6 t1] and refines the best grid point by golden-section search.  The
-    measured optimum differs from the closed-form t1 by the subleading
-    corrections the closed form drops.
+    Scans prob_b under the stage-1 generator of ``two_stage_schedule`` on
+    20,001 points of [0, 1.6 t1] and refines the best grid point by
+    golden-section search.  The measured optimum differs from the
+    closed-form t1 by the subleading corrections the closed form drops.
     """
-    pred = theory.predict(spec)
-    window = 1.6 * pred.t1
-    prop = _propagator(spec, *_validate_schedule([Stage(pred.gamma_c1, window)]))
+    gamma, t1 = two_stage_schedule(spec)[0]
+    window = 1.6 * t1
+    prop = _propagator(spec, *_validate_schedule([Stage(gamma, window)]))
     times = np.linspace(0.0, window, 20_001)
     return _grid_max(prop.probability(1), times, np.abs(prop.amplitudes(times, 1)) ** 2,
-                     1e-9 * pred.t1)
+                     1e-9 * t1)

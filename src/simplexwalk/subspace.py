@@ -98,18 +98,16 @@ def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
     return float(lap[1]), float(degree - lap[0])
 
 
-def algebraic_connectivity(spec: GraphSpec) -> float:
-    """Second-smallest eigenvalue of the graph Laplacian; see
-    :func:`connectivity_and_norm`."""
-    return connectivity_and_norm(spec)[0]
-
-
 def check_generator_scale(spec: GraphSpec, gamma: float) -> None:
-    """Refuse a gamma at which -gamma * A overflows.
+    """Refuse a gamma that is not finite and > 0, or at which -gamma * A
+    overflows.
 
-    ||A|| = M - 1 + w bounds every entry and eigenvalue of A, so the
-    generator's entries and spectrum are finite when gamma * ||A|| is.
+    ||A|| = M - 1 + w bounds every entry and eigenvalue of A, in the class
+    basis and on the full vertex space, so the generator's entries and
+    spectrum are finite when gamma * ||A|| is.
     """
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be finite and > 0")
     if not math.isfinite(gamma * (spec.M - 1.0 + spec.w)):
         raise ValueError(
             f"gamma={gamma:g} at w={spec.w:g} overflows the search generator: "
@@ -123,8 +121,6 @@ def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     The marked-vertex term lands entirely on the (a, a) entry, which is
     therefore exactly -gamma * 0 - 1 = -1 for every gamma.
     """
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be finite and > 0")
     check_generator_scale(spec, gamma)
     ham = -gamma * reduced_adjacency(spec)
     ham[0, 0] -= 1.0
@@ -145,8 +141,7 @@ def full_initial_state(spec: GraphSpec) -> np.ndarray:
 
 def full_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     """Search generator -gamma * A - |a><a| on the full vertex space."""
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be finite and > 0")
+    check_generator_scale(spec, gamma)
     ham = -gamma * build_adjacency(spec)
     ham[0, 0] -= 1.0
     return ham

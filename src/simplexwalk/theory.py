@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class Prediction:
     E_minus: float
     lambda1: float
     op_norm_A: float
-
-    def to_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def radicands(M: int, w: float, gamma: float) -> tuple[float, float]:

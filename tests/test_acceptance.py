@@ -137,7 +137,7 @@ def test_criterion_7_connectivity_formulas():
     for M in range(3, 13):
         for w in (0.5, 1.0, 2.0, 5.0):
             spec = sw.GraphSpec(M, w)
-            lam1 = sw.algebraic_connectivity(spec)
+            lam1 = sw.connectivity_and_norm(spec)[0]
             closed = sw.algebraic_connectivity_formula(M, w)
             if abs(lam1 - closed) > 1e-8:
                 failures.append(f"lambda1 {lam1!r} vs {closed!r} at {M=} {w=}")

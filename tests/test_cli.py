@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexwalk
-from simplexwalk import cli, csvformat, subspace
+from simplexwalk import cli, csvformat, dynamics, spectral, subspace
 from simplexwalk.cli import _csv_doc, _fmt, main
 
 
@@ -177,6 +177,14 @@ def test_verify_passes_small_instances(capsys):
         assert out.count(f"(tol {tols[1]})") == 2
     for x, text in ((1.0001e-8, "1e-8"), (2.2204e-7, "2.22e-7"), (1e-10, "1e-10")):
         assert cli._sci(x) == text
+
+
+def test_verify_defaults_to_the_schedules_stage1_rate(capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "two_stage_schedule",
+                        lambda spec: [dynamics.Stage(0.3, 1.0), dynamics.Stage(0.1, 1.0)])
+    code, out, _ = _run(capsys, "verify", "--M", "6", "--w", "2")
+    assert code == 0
+    assert out.startswith("# verify M=6 w=2 gamma=0.3\n")
 
 
 def test_verify_refuses_large_m(capsys):
@@ -381,6 +389,30 @@ def test_verify_refuses_a_tolerance_that_cannot_fail(capsys, monkeypatch):
     code, out, err = _run(capsys, "verify", "--M", "5", "--w", "1e14")
     _assert_refused(code, out, err)
     assert "tolerance 4.44e+0" in err
+
+
+# a library call stands in for an allocation too large for memory: with
+# overcommit, a real one of that size could start to succeed
+@pytest.mark.parametrize("owner, name, argv", [
+    (spectral, "gamma_sweep", ["sweep", "--M", "5", "--lo", "1", "--hi", "2"]),
+    (dynamics, "run_schedule", ["evolve", "--M", "5"]),
+    (dynamics, "width_scan", ["width", "--M", "5", "--stage", "1"]),
+], ids=["sweep", "evolve", "width"])
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.28 TiB",
+     "error: the request does not fit in memory: Unable to allocate 7.28 TiB"),
+    ("", "error: the request does not fit in memory"),
+], ids=["numpy-message", "no-message"])
+def test_a_request_too_large_for_memory_is_refused(capsys, monkeypatch, owner, name, argv,
+                                                   message, line):
+    def allocate(*args, **kwargs):
+        warnings.warn("dropped with the refusal")
+        raise MemoryError(message)
+
+    monkeypatch.setattr(owner, name, allocate)
+    code, out, err = _run(capsys, *argv)
+    _assert_refused(code, out, err)
+    assert err == line + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from simplexwalk import (
     CLASS_TAGS,
     GraphSpec,
-    algebraic_connectivity,
     algebraic_connectivity_formula,
     build_adjacency,
     class_sizes,
@@ -202,11 +201,11 @@ def test_laplacian_second_eigenvalue_m4_w2():
 
 
 def test_algebraic_connectivity_values():
-    assert algebraic_connectivity(GraphSpec(4, 2.0)) == pytest.approx(
+    assert connectivity_and_norm(GraphSpec(4, 2.0))[0] == pytest.approx(
         1.5505102572168221, abs=1e-9
     )
     # the closed form collapses to exactly 1 whenever w = 1
-    assert algebraic_connectivity(GraphSpec(10, 1.0)) == pytest.approx(1.0, abs=1e-8)
+    assert connectivity_and_norm(GraphSpec(10, 1.0))[0] == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("M", range(3, 13))
@@ -214,7 +213,7 @@ def test_algebraic_connectivity_values():
 def test_algebraic_connectivity_matches_laplacian_definition(M, w):
     adj = build_adjacency(GraphSpec(M, w))
     lam1 = np.linalg.eigvalsh(np.diag(adj.sum(1)) - adj)[1]
-    assert abs(algebraic_connectivity(GraphSpec(M, w)) - lam1) <= 1e-12
+    assert abs(connectivity_and_norm(GraphSpec(M, w))[0] - lam1) <= 1e-12
 
 
 _EPS = np.finfo(float).eps
@@ -264,9 +263,6 @@ def test_connectivity_and_norm_is_one_7x7_eigvalsh(monkeypatch):
         lam1, op_norm = connectivity_and_norm(GraphSpec(M, w))
         assert abs(lam1 - algebraic_connectivity_formula(M, w)) <= 15 * _EPS * op_norm
         assert sizes == [(7, 7)]
-    sizes.clear()
-    algebraic_connectivity(GraphSpec(6, 2.5))
-    assert sizes == [(7, 7)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Class basis, reduced matrices, the lift map, invariance of the subspace."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,16 +49,22 @@ def test_reduced_hamiltonian_rejects_nonpositive_gamma():
                 build(GraphSpec(5, 1.0), gamma)
 
 
-# the last case overflows only in the sqrt(M - 1) entries
-@pytest.mark.parametrize("M, w, gamma",
-                         [(10, 1e308, 2.0), (10, 1e300, 1e9), (1000, 1.0, 1e306), (3, 0.5, 1.5e308)])
+# (3, 0.5, 1.5e308) overflows only in the sqrt(M - 1) entries of the reduced
+# generator and nowhere in the full one, whose spectrum still overflows
+@pytest.mark.parametrize("M, w, gamma", [(10, 1e308, 2.0), (10, 1e300, 1e9), (1000, 1.0, 1e306),
+                                         (3, 0.5, 1.5e308), (4, 2.0, 1e308)])
 def test_reduced_hamiltonian_refuses_a_generator_that_overflows(M, w, gamma):
     spec = GraphSpec(M, w)
-    with pytest.raises(ValueError, match=re.escape(f"gamma={gamma:g} at w={w:g} overflows")):
-        reduced_hamiltonian(spec, gamma)
-    # just below the edge the generator is built, and finite
-    ham = reduced_hamiltonian(spec, 0.5 * np.finfo(float).max / (M - 1.0 + w))
-    assert np.isfinite(ham).all()
+    # the full generator has M (M + 1) rows: built only for small M
+    builds = [reduced_hamiltonian] + [full_hamiltonian] * (M <= 10)
+    refusal = re.escape(f"gamma={gamma:g} at w={w:g} overflows")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in builds:
+            with pytest.raises(ValueError, match=refusal):
+                build(spec, gamma)
+            # just below the edge the generator is built, and finite
+            assert np.isfinite(build(spec, 0.5 * np.finfo(float).max / (M - 1.0 + w))).all()
 
 
 def test_stage1_gap_near_closed_form():

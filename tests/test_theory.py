@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from simplexwalk import (
     GraphSpec,
-    algebraic_connectivity,
     algebraic_connectivity_formula,
     census_formulas,
     classify_vertices,
+    connectivity_and_norm,
     edge_census,
     find_crossing,
     gamma_c1_exact,
@@ -293,7 +293,7 @@ def test_connectivity_formula_is_accurate_from_tiny_to_huge_w(M):
 @pytest.mark.parametrize("M", [3, 6, 12, 20])
 @pytest.mark.parametrize("w", [0.5, 2.0])
 def test_connectivity_formula_matches_numeric(M, w):
-    assert algebraic_connectivity(GraphSpec(M, w)) == pytest.approx(
+    assert connectivity_and_norm(GraphSpec(M, w))[0] == pytest.approx(
         algebraic_connectivity_formula(M, w), abs=1e-8
     )
 
