@@ -20,10 +20,15 @@ import numpy as np
 from . import theory
 from .graph import GraphSpec
 from .spectral import _itp
-from .subspace import reduced_hamiltonian, reduced_initial_state
+from .subspace import check_generator_scale, reduced_hamiltonian, reduced_initial_state
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 10_000
+# A stage of fewer grid points is evaluated whole: below this, bounding its
+# points costs more than it saves.  A larger one is bounded point by point,
+# and the _PAIR_SEEDS points of largest bound are evaluated first.
+_PAIR_CUT_POINTS = 1024
+_PAIR_SEEDS = 64
 
 
 class Stage(NamedTuple):
@@ -46,13 +51,25 @@ class TimeSeries:
     stage_boundaries: tuple[float, ...]
 
 
-def _contract(lam: np.ndarray, vecs: np.ndarray, coeff: np.ndarray, tau):
+def _contract(lam: np.ndarray, vecs: np.ndarray, coeff: np.ndarray, tau, cols=None):
     """``vecs @ (exp(-i lam tau) * coeff)``: eigenbasis coefficients evolved
     for time tau and mapped back through the eigenvector rows ``vecs`` (all
     of them, or only the rows a caller needs).  For a 1-D array of times,
     pass ``lam`` and ``coeff`` as columns; the result gains a trailing time
-    axis."""
-    return vecs @ (np.exp(-1j * lam * tau) * coeff)
+    axis.
+
+    ``cols``, an index array into a 1-D ``tau``, evaluates only those times
+    and returns only their columns, each bit for bit what the whole ``tau``
+    gives it.  Their phase factors stay in their own columns of an otherwise
+    zero block as long as ``tau``, because a BLAS product groups columns by
+    position: contracting the compacted columns changed the last bit of
+    some of them."""
+    phases = np.exp(-1j * lam * (tau if cols is None else tau[cols])) * coeff
+    if cols is None:
+        return vecs @ phases
+    block = np.zeros(phases.shape[:-1] + tau.shape, complex)
+    block[..., cols] = phases
+    return (vecs @ block)[..., cols]
 
 
 def evolve(hamiltonian: np.ndarray, state: np.ndarray, t: float) -> np.ndarray:
@@ -79,16 +96,17 @@ def two_stage_schedule(spec: GraphSpec) -> list[Stage]:
     return [Stage(pred.gamma_c1, pred.t1), Stage(pred.gamma_c2, pred.t2)]
 
 
-def _validate_schedule(schedule: Schedule) -> tuple[list[Stage], np.ndarray]:
+def _validate_schedule(spec: GraphSpec, schedule: Schedule) -> tuple[list[Stage], np.ndarray]:
     """The schedule's stages, checked, and their boundaries in global time:
-    0, then the end of each stage."""
+    0, then the end of each stage.  Each stage's gamma is checked by
+    ``check_generator_scale``, after all durations."""
     stages = [Stage(float(g), float(d)) for g, d in schedule]
     if not stages:
         raise ValueError("schedule must contain at least one stage")
     if not all(math.isfinite(s.duration) and s.duration >= 0 for s in stages):
         raise ValueError("stage durations must be finite and >= 0")
-    if not all(math.isfinite(s.gamma) and s.gamma > 0 for s in stages):
-        raise ValueError("stage gammas must be finite and > 0")
+    for stage in stages:
+        check_generator_scale(spec, stage.gamma)
     boundaries = np.concatenate([[0.0], np.cumsum([s.duration for s in stages])])
     for k, stage in enumerate(stages):
         if stage.duration > 0 and boundaries[k + 1] == boundaries[k]:
@@ -133,17 +151,59 @@ class _Propagator:
         self.boundaries = boundaries
         self._spectra = spectra
 
-    def stage_amplitudes(self, k: int, times: np.ndarray, rows) -> np.ndarray:
+    def stage_amplitudes(self, k: int, times: np.ndarray, rows, cols=None) -> np.ndarray:
         """Amplitudes of the state components ``rows`` under stage k's
-        generator at a 1-D array of global times, with a trailing time axis."""
+        generator at a 1-D array of global times, with a trailing time axis;
+        with ``cols``, only at ``times[cols]``, as ``_contract`` takes it."""
         lam, vecs, coeff = self._spectra[k]
         return _contract(lam[:, None], vecs[rows], coeff[:, None],
-                         times - self.boundaries[k])
+                         times - self.boundaries[k], cols)
 
     def amplitude_bounds(self, row: int) -> np.ndarray:
         """Per stage, ``sum_j |V[row, j] c_j|``: by the triangle inequality no
         amplitude of component ``row`` in that stage has a larger modulus."""
         return np.array([np.abs(vecs[row] * coeff).sum() for _, vecs, coeff in self._spectra])
+
+    def pair_bounds(self, k: int, times: np.ndarray) -> np.ndarray:
+        """Per time of a sorted 1-D array of global times in stage k, a bound
+        that the marked-vertex probability ``abs(stage_amplitudes(k, times,
+        0)) ** 2`` does not exceed, float rounding included.
+
+        With a_j = V[0, j] c_j and (i, j) the two largest |a|, the amplitude
+        is at most P + R, where R is the sum of the other |a_l| and
+        P**2 = |a_i|**2 + |a_j|**2 + 2 |a_i| |a_j| cos(theta), with
+        theta = (lam_j - lam_i) tau + arg(a_i conj(a_j)): one cosine per
+        time.  The slack, with u = eps / 2, B = sum |a|, L = max |lam| and
+        T the stage's last tau (the largest, as the times are sorted):
+
+        - ``stage_amplitudes`` rounds each phase lam tau by at most u L T,
+          and its exponential, products and 7-term sum add a few eps, so it
+          moves the amplitude by at most B (u L T + 12 eps);
+        - theta is rounded three times from lam_j - lam_i (at most 2 L), tau
+          and arg, so it is off by at most 3 eps L T + 6 eps, and P**2 by
+          2 |a_i| |a_j| <= B**2 / 2 times that, plus 10 eps B**2 for the
+          squares, the sums and the cosine's last bit;
+        - R's five terms round by at most 8 eps B.
+
+        So the bound is ``(sqrt(P**2 + dq) + R + e)**2 * (1 + 16 eps)``, with
+        dq = B**2 eps (2 L T + 16) and e = B eps (L T + 24), both above the
+        sums above.  The factor covers the last roundings of both sides: the
+        bound's square root, sums, square and product, and ``abs`` and the
+        square of the probability.  dq goes under the square root because
+        sqrt(P**2 + dq) >= P holds however nearly the pair cancels, where a
+        first-order bound on the square root's error grows without limit."""
+        lam, vecs, coeff = self._spectra[k]
+        tau = times - self.boundaries[k]
+        terms = vecs[0] * coeff
+        size = np.abs(terms)
+        *others, j, i = np.argsort(size)
+        total = size.sum()
+        eps = np.finfo(float).eps
+        drift = eps * np.abs(lam).max() * tau[-1]
+        theta = (lam[j] - lam[i]) * tau + np.angle(terms[i] * np.conj(terms[j]))
+        pair_sq = size[i] ** 2 + size[j] ** 2 + 2 * size[i] * size[j] * np.cos(theta)
+        pair = np.sqrt(pair_sq + total**2 * (2 * drift + 16 * eps))
+        return (pair + size[others].sum() + total * (drift + 24 * eps)) ** 2 * (1 + 16 * eps)
 
     def amplitudes(self, times: np.ndarray, rows) -> np.ndarray:
         """Amplitudes of the state components ``rows`` (an index or a slice)
@@ -187,7 +247,7 @@ def run_schedule(
     stage uniformly; the state is continuous across stage boundaries."""
     if not isinstance(samples_per_stage, (int, np.integer)) or samples_per_stage < 1:
         raise ValueError("samples_per_stage must be an integer >= 1")
-    stages, boundaries = _validate_schedule(schedule)
+    stages, boundaries = _validate_schedule(spec, schedule)
     prop = _propagator(spec, stages, boundaries)
     steps = np.arange(1, samples_per_stage + 1)
     times = np.concatenate([[0.0]] + [
@@ -247,22 +307,41 @@ def peak_success(spec: GraphSpec, schedule: Schedule) -> tuple[float, float]:
     ``B_k = sum_j |V[0, j] c_j|``.  Stages are evaluated in descending
     ``B_k``, and a stage whose ``B_k**2`` (with 1e-9 relative slack for
     rounding) is below the best grid value so far is skipped: none of its
-    points can be the grid maximum.  The result equals that of the full-grid
-    search bit for bit.  On the two-stage schedule this skips stage 1, which
-    holds nearly all of the grid while its probability stays O(1/M).
+    points can be the grid maximum.  On the two-stage schedule this skips
+    stage 1, which holds nearly all of the grid while its probability stays
+    O(1/M).
+
+    A stage that is not skipped and holds at least ``_PAIR_CUT_POINTS``
+    grid points is cut again point by point, by the modulus of its two
+    largest terms plus the sum of the others, with a slack for rounding
+    derived in ``_Propagator.pair_bounds``.  The ``_PAIR_SEEDS`` points of
+    largest bound are evaluated first, then only the points whose bound
+    reaches the best value so far.  Stage 1 is cut this way when a detuned
+    stage 2 peaks below its ``B_1**2``.  The result equals that of the
+    full-grid search bit for bit.
     """
-    stages, boundaries, times, pieces = _peak_frame(schedule)
+    stages, boundaries, times, pieces = _peak_frame(spec, schedule)
     return _peak(_propagator(spec, stages, boundaries), times, pieces)
 
 
-def _peak_frame(schedule: Schedule) -> tuple[list[Stage], np.ndarray, np.ndarray, list[slice]]:
-    """What a peak search needs of a schedule besides its gammas: the checked
-    stages and their boundaries, the peak grid (a uniform grid of
+def _peak_frame(
+    spec: GraphSpec, schedule: Schedule
+) -> tuple[list[Stage], np.ndarray, np.ndarray, list[slice]]:
+    """What a peak search needs of a schedule besides its eigensystems: the
+    checked stages and their boundaries, the peak grid (a uniform grid of
     ``_GRID_POINTS`` over the schedule, plus the boundaries, sorted and
     without repeats), and the grid's ``_stage_slices``."""
-    stages, boundaries = _validate_schedule(schedule)
+    stages, boundaries = _validate_schedule(spec, schedule)
     times = np.unique(np.concatenate([np.linspace(0.0, boundaries[-1], _GRID_POINTS), boundaries]))
     return stages, boundaries, times, _stage_slices(boundaries, times)
+
+
+def _evaluate(prop: _Propagator, k: int, times: np.ndarray, values: np.ndarray, cols=None) -> float:
+    """Write the marked-vertex probability of stage k at ``times[cols]``, or
+    at all ``times``, into the same places of ``values``; return the largest
+    of ``values``."""
+    values[... if cols is None else cols] = np.abs(prop.stage_amplitudes(k, times, 0, cols)) ** 2
+    return values.max(initial=-np.inf)
 
 
 def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[float, float]:
@@ -274,9 +353,17 @@ def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[fl
     for k in np.argsort(bounds)[::-1]:
         if bounds[k] ** 2 * (1 + 1e-9) < best:
             break
-        piece = pieces[k]
-        values[piece] = np.abs(prop.stage_amplitudes(k, times[piece], 0)) ** 2
-        best = max(best, values[piece].max(initial=-np.inf))
+        stage_times, stage_values = times[pieces[k]], values[pieces[k]]
+        cols = None
+        if len(stage_times) >= _PAIR_CUT_POINTS:
+            caps = prop.pair_bounds(k, stage_times)
+            cols = np.argpartition(caps, -_PAIR_SEEDS)[-_PAIR_SEEDS:]
+            best = max(best, _evaluate(prop, k, stage_times, stage_values, cols))
+            caps[cols] = -np.inf
+            cols = np.flatnonzero(caps >= best)
+            if not cols.size:
+                continue
+        best = max(best, _evaluate(prop, k, stage_times, stage_values, cols))
     return _grid_max(prop.probability(0), times, values, 1e-6 * prop.boundaries[-1])
 
 
@@ -291,7 +378,7 @@ def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
     eigensolve, the coefficients that follow from it, and one ``_peak``."""
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
-    stages, boundaries, times, pieces = _peak_frame(two_stage_schedule(spec))
+    stages, boundaries, times, pieces = _peak_frame(spec, two_stage_schedule(spec))
     gamma = stages[stage - 1].gamma
     fixed = np.linalg.eigh(reduced_hamiltonian(spec, stages[2 - stage].gamma))
     psi = reduced_initial_state(spec)
@@ -372,7 +459,7 @@ def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     """
     gamma, t1 = two_stage_schedule(spec)[0]
     window = 1.6 * t1
-    prop = _propagator(spec, *_validate_schedule([Stage(gamma, window)]))
+    prop = _propagator(spec, *_validate_schedule(spec, [Stage(gamma, window)]))
     times = np.linspace(0.0, window, 20_001)
     return _grid_max(prop.probability(1), times, np.abs(prop.amplitudes(times, 1)) ** 2,
                      1e-9 * t1)

@@ -159,6 +159,14 @@ def test_nonfinite_gamma_is_refused(capsys, argv):
     assert "finite" in err
 
 
+def test_schedule_and_verify_refuse_a_gamma_with_one_message(capsys):
+    refusals = [_run(capsys, "evolve", "--M", "5", "--gamma1", "0"),
+                _run(capsys, "verify", "--M", "5", "--gamma", "0")]
+    for code, out, err in refusals:
+        _assert_refused(code, out, err)
+    assert refusals[0][2] == refusals[1][2] == "error: gamma must be finite and > 0\n"
+
+
 def test_verify_passes_small_instances(capsys):
     # tolerances grow as 100 eps ||H|| (projection) and 100 eps t ||H||
     # (dynamics, leakage) once that exceeds the 1e-10 and 1e-8 floors

@@ -9,6 +9,7 @@ import pytest
 from simplexwalk import (
     GraphSpec,
     Stage,
+    cli,
     dynamics,
     evolve,
     optimal_stage1_duration,
@@ -215,7 +216,7 @@ def test_peak_success_zero_duration_schedule():
 
 
 def _propagator(spec, schedule):
-    return dynamics._propagator(spec, *dynamics._validate_schedule(schedule))
+    return dynamics._propagator(spec, *dynamics._validate_schedule(spec, schedule))
 
 
 def _sorted_union(boundaries):
@@ -259,6 +260,22 @@ def test_scalar_probability_is_the_contraction_on_its_stage(row):
         assert p(t) == expected, t
 
 
+def test_contraction_of_selected_columns_is_bit_identical():
+    # each selected column equals the whole contraction's; contracting the
+    # compacted columns instead changed the last bit of about half of these
+    rng = np.random.default_rng(7)
+    spec, g1, t1, g2, t2 = _critical_rates(1000, 3.0)
+    prop = _propagator(spec, [(g1, t1), (3 * g2, t2)])
+    for _ in range(150):
+        k, n = int(rng.integers(2)), int(rng.integers(1, 3000))
+        times = np.sort(rng.uniform(prop.boundaries[k], prop.boundaries[k + 1], n))
+        cols = rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+        for rows in (0, slice(None)):
+            full = prop.stage_amplitudes(k, times, rows)
+            part = prop.stage_amplitudes(k, times, rows, cols)
+            assert part.tobytes() == full[..., cols].tobytes()
+
+
 @pytest.mark.parametrize("durations, grid_points", [
     ([7.0, 0.0, 3.0], 10_000),          # a zero-duration stage
     ([3.0, 1.0], 5),                    # a boundary on a grid point
@@ -271,7 +288,8 @@ def test_scalar_probability_is_the_contraction_on_its_stage(row):
 ])
 def test_peak_grid_equals_the_sorted_union(monkeypatch, durations, grid_points):
     monkeypatch.setattr(dynamics, "_GRID_POINTS", grid_points)
-    stages, boundaries, times, pieces = dynamics._peak_frame([(1.0, d) for d in durations])
+    spec = GraphSpec(20, 1.0)
+    stages, boundaries, times, pieces = dynamics._peak_frame(spec, [(1.0, d) for d in durations])
     assert [s.duration for s in stages] == durations
     assert boundaries.tolist() == np.concatenate([[0.0], np.cumsum(durations)]).tolist()
     expected = _sorted_union(boundaries)
@@ -284,7 +302,6 @@ def test_peak_grid_equals_the_sorted_union(monkeypatch, durations, grid_points):
         assert (times[piece] >= boundaries[k]).all()
         if k + 1 < len(pieces):
             assert piece.stop == pieces[k + 1].start and (times[piece] < boundaries[k + 1]).all()
-    spec = GraphSpec(20, 1.0)
     schedule = [(0.05 * (k + 1), d) for k, d in enumerate(durations)]
     assert peak_success(spec, schedule) == _full_grid_peak(spec, schedule)
 
@@ -330,6 +347,21 @@ def test_peak_success_equals_full_grid_search_on_random_schedules(monkeypatch):
         ]
         monkeypatch.setattr(dynamics, "_GRID_POINTS", int(rng.choice([2, 7, 100, 10_000])))
         assert peak_success(spec, schedule) == _full_grid_peak(spec, schedule)
+    monkeypatch.setattr(dynamics, "_GRID_POINTS", 10_000)
+    pair_cuts = _count_calls(monkeypatch, dynamics._Propagator, "pair_bounds")
+    # far detuned, so that stage 1's bound B_1**2 reaches the peak and stage
+    # 1 goes to the per-point bounds; then M up to 1e7, where a phase lam tau
+    # reaches about 5e10 and its rounding is most of the bounds' slack
+    for M_range in [(1, 4), (4, 7)]:
+        for _ in range(20):
+            spec, g1, t1, g2, t2 = _critical_rates(
+                int(10 ** rng.uniform(*M_range)), float(rng.choice([0.5, 1.0, 3.0]))
+            )
+            detuning = 10 ** (rng.choice([-1, 1]) * rng.uniform(0.3, 1.5))
+            schedule = [(g1 * (1 + rng.normal(scale=0.3) / math.sqrt(spec.M)), t1),
+                        (g2 * detuning, t2 * rng.choice([1.0, 2.0]))]
+            assert peak_success(spec, schedule) == _full_grid_peak(spec, schedule)
+    assert len(pair_cuts) >= 20
 
 
 @pytest.mark.parametrize("M, w, detune", [
@@ -342,20 +374,52 @@ def test_stage_bound_caps_marked_probability(M, w, detune):
         times = np.linspace(prop.boundaries[k], prop.boundaries[k + 1], 20_001)
         prob = np.abs(prop.stage_amplitudes(k, times, 0)) ** 2
         assert prob.max() <= bound**2 * (1 + 1e-9)
+        assert (prob <= prop.pair_bounds(k, times)).all()
 
 
 def test_peak_success_evaluates_under_one_percent_of_the_grid(monkeypatch):
     columns = []
     contract = dynamics._contract
 
-    def counting(lam, vecs, coeff, tau):
-        columns.append(np.size(tau))
-        return contract(lam, vecs, coeff, tau)
+    def counting(lam, vecs, coeff, tau, cols=None):
+        columns.append(np.size(tau if cols is None else cols))
+        return contract(lam, vecs, coeff, tau, cols)
 
     monkeypatch.setattr(dynamics, "_contract", counting)
     spec = GraphSpec(1000, 1.0)
     peak_success(spec, two_stage_schedule(spec))
     assert 0 < sum(columns) < 0.01 * 10_000
+
+
+# A width request of the benchmark's scan workload: three of its stage-1
+# detunings are so far off that stage 2's peak falls below stage 1's bound
+# B_1**2, and the whole-stage search evaluated 29,439 stage-1 columns.
+_FAR_WIDTH = ["width", "--M", "211", "--w", "3", "--stage", "1", "--offsets", "21",
+              "--eps-lo", "4.000183709718958e-07", "--eps-hi", "0.00315955766192733"]
+
+
+def test_far_detuned_width_evaluates_under_five_percent_of_stage_1(monkeypatch, tmp_path):
+    columns = []
+    stage_amplitudes = dynamics._Propagator.stage_amplitudes
+
+    def counting(prop, k, times, rows, *cols):
+        if k == 0:
+            columns.append(len(times) if not cols or cols[0] is None else len(cols[0]))
+        return stage_amplitudes(prop, k, times, rows, *cols)
+
+    monkeypatch.setattr(dynamics._Propagator, "stage_amplitudes", counting)
+    assert cli.main(_FAR_WIDTH + ["--out", str(tmp_path / "width.csv")]) == 0
+    assert 0 < sum(columns) < 0.05 * 29_439
+
+
+def test_far_detuned_width_scan_equals_full_grid_searches():
+    # the offsets of that request, as cmd_width builds them
+    spec = GraphSpec(211, 3.0)
+    positive = np.logspace(np.log10(float(_FAR_WIDTH[-3])), np.log10(float(_FAR_WIDTH[-1])), 10)
+    offsets = np.concatenate([-positive[::-1], [0.0], positive])
+    (g1, t1), stage2 = two_stage_schedule(spec)
+    expected = [_full_grid_peak(spec, [(g1 + eps, t1), stage2])[1] for eps in offsets]
+    assert width_scan(spec, 1, offsets).tolist() == expected
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: certified peak search")
