@@ -28,9 +28,7 @@ from .graph import (
 )
 from .spectral import (
     NoCrossingError,
-    Spectrum,
     SweepResult,
-    eigh,
     find_crossing,
     gamma_sweep,
     overlaps,
@@ -65,7 +63,6 @@ __all__ = [
     "NoCrossingError",
     "Prediction",
     "ReducedBasis",
-    "Spectrum",
     "Stage",
     "SweepResult",
     "TimeSeries",
@@ -77,7 +74,6 @@ __all__ = [
     "classify_vertices",
     "connectivity_and_norm",
     "edge_census",
-    "eigh",
     "evolve",
     "find_crossing",
     "full_hamiltonian",

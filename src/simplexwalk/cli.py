@@ -167,7 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ham_red = subspace.reduced_hamiltonian(spec, gamma)
     # Rounding grows with the generator's norm, bounded by gamma * ||A|| plus
     # the oracle's 1, and for an evolution also with the time.
-    h_norm = gamma * (spec.M + spec.w - 1.0) + 1.0
+    h_norm = gamma * spec.degree + 1.0
     evolution_tol = _tolerance(1e-8, 10.0 * h_norm)
     # the leakage residual of a unit state never exceeds 1
     if evolution_tol >= 1:
@@ -236,10 +236,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 def cmd_connectivity(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
     lam1_closed = theory.algebraic_connectivity_formula(spec.M, spec.w)
-    op_norm_closed = spec.M + spec.w - 1.0
     # the quotient's lambda1 and ||A|| were measured within 15 eps ||A|| of
     # the closed forms; where that is not small against lambda1, it is noise
-    bound = 15 * np.finfo(float).eps * op_norm_closed
+    bound = 15 * np.finfo(float).eps * spec.degree
     if bound >= 1e-3 * lam1_closed:
         raise UsageError(
             f"connectivity cannot resolve lambda1 at M={spec.M}, w={_fmt(spec.w)}: "
@@ -247,15 +246,14 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
             f"lambda1 = {lam1_closed:.3g}"
         )
     lam1, op_norm = subspace.connectivity_and_norm(spec)
-    degree = spec.M - 1 + spec.w
     payload = {
         "M": spec.M,
         "w": spec.w,
         "lambda1": lam1,
         "lambda1_closed_form": lam1_closed,
         "op_norm": op_norm,
-        "op_norm_closed_form": op_norm_closed,
-        "normalized_connectivity": lam1 / degree,
+        "op_norm_closed_form": spec.degree,
+        "normalized_connectivity": lam1 / spec.degree,
     }
     _write_output(args, _json_doc(payload))
     return 0

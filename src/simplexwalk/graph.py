@@ -79,6 +79,11 @@ class GraphSpec:
     def n_vertices(self) -> int:
         return self.M * (self.M + 1)
 
+    @property
+    def degree(self) -> float:
+        """Weighted degree M - 1 + w of every vertex, which is also ||A||."""
+        return self.M - 1 + self.w
+
 
 def _cluster_port(M: int) -> tuple[np.ndarray, np.ndarray]:
     """Cluster and port of every dense index, as two arrays of length N."""

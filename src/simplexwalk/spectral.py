@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, eigenstate overlaps, and jumping-rate scans.
+"""Eigenstate overlaps and jumping-rate scans.
 
 The jumping-rate scans reproduce the avoided crossings that locate the two
 critical rates: the equal superposition swaps between the lowest two
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,47 +29,18 @@ class NoCrossingError(ValueError):
     """The overlap difference does not change sign on the given bracket."""
 
 
-class Spectrum(NamedTuple):
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+def overlaps(vectors: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Squared overlaps |<eigenvector_k | probe>|^2 of the eigenvector columns
+    of ``vectors``; they sum to 1 for a unit probe.
 
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eigh(matrix: np.ndarray) -> Spectrum:
-    """Eigendecomposition of an exactly-symmetric real matrix, or of each
-    matrix in a stack of shape (..., n, n).
-
-    Output is deterministic: each eigenvector is flipped so its
-    largest-magnitude component (lowest index on ties) is positive.  For a
-    stack, ``values`` has shape (..., n) and ``vectors`` (..., n, n), and each
-    slice equals the decomposition of that matrix alone.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("matrix must be square")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix must be finite")
-    if not (matrix == matrix.swapaxes(-1, -2)).all():
-        raise ValueError("matrix must be symmetric")
-    values, vectors = np.linalg.eigh(matrix)
-    n = vectors.shape[-1]
-    columns = vectors.swapaxes(-1, -2).reshape(-1, n)
-    lead = columns[np.arange(len(columns)), np.argmax(np.abs(columns), axis=1)]
-    signs = np.sign(lead).reshape(vectors.shape[:-2] + (1, n))
-    signs[signs == 0] = 1.0
-    return Spectrum(values=values, vectors=vectors * signs)
-
-
-def overlaps(spectrum: Spectrum, probe: np.ndarray) -> np.ndarray:
-    """Squared overlaps |<eigenvector_k | probe>|^2; they sum to 1 for a unit probe.
-
-    A stacked spectrum of shape (..., n, n) gives overlaps of shape (..., n).
+    A stack of eigenvector matrices, shape (..., n, n), gives overlaps of
+    shape (..., n).  Negating an eigenvector negates each product and their
+    sum exactly, so the overlaps do not depend on the solver's sign choice.
     """
     probe = np.asarray(probe)
-    if probe.shape != (spectrum.vectors.shape[-2],):
+    if probe.shape != (vectors.shape[-2],):
         raise ValueError("probe has wrong dimension")
-    return np.abs(spectrum.vectors.swapaxes(-1, -2) @ probe) ** 2
+    return np.abs(vectors.swapaxes(-1, -2) @ probe) ** 2
 
 
 def probe_state(spec: GraphSpec, tag: str) -> np.ndarray:
@@ -110,8 +80,8 @@ def gamma_sweep(
     gammas = np.linspace(lo, hi, points)
     stack = -gammas[:, None, None] * reduced_adjacency(spec)
     stack[:, 0, 0] -= 1.0  # reduced_hamiltonian at each gamma, bit for bit
-    spectra = eigh(stack)
-    curves = {tag: overlaps(spectra, probe_state(spec, tag)) for tag in PROBE_TAGS}
+    _, vectors = np.linalg.eigh(stack)
+    curves = {tag: overlaps(vectors, probe_state(spec, tag)) for tag in PROBE_TAGS}
     return SweepResult(gammas=gammas, curves=curves)
 
 
@@ -192,10 +162,11 @@ def find_crossing(
     """Locate the gamma where the probe's overlap moves between two eigenstates.
 
     Bisects the sign change of |<psi_j|probe>|^2 - |<psi_k|probe>|^2 on the
-    bracket to a relative width of 1e-10.  At the crossing of an avoided
-    degeneracy the probe splits half and half; for M >= 100 both overlaps are
-    required to be within 0.1 of 1/2, otherwise the sign change is rejected
-    as spurious.
+    bracket to a relative width of 1e-10.  The difference must be nonzero at
+    the lower end and zero or of the other sign at the upper end.  At the
+    crossing of an avoided degeneracy the probe splits half and half; for
+    M >= 100 both overlaps are required to be within 0.1 of 1/2, otherwise
+    the sign change is rejected as spurious.
     """
     j, k = eig_pair
     if j == k or not all(isinstance(i, (int, np.integer)) and 0 <= i <= 6 for i in (j, k)):
@@ -205,12 +176,17 @@ def find_crossing(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     probe_vec = probe_state(spec, probe)
 
+    def overlaps_at(gamma: float) -> np.ndarray:
+        return overlaps(np.linalg.eigh(reduced_hamiltonian(spec, gamma))[1], probe_vec)
+
     def diff(gamma: float) -> float:
-        ov = overlaps(eigh(reduced_hamiltonian(spec, gamma)), probe_vec)
+        ov = overlaps_at(gamma)
         return float(ov[j] - ov[k])
 
     f_lo, f_hi = diff(lo), diff(hi)
-    if f_lo * f_hi > 0:
+    # a sign test, not f_lo * f_hi <= 0, which a zero at both ends or an
+    # underflowing product would pass
+    if f_lo == 0.0 or (f_hi != 0.0 and (f_hi > 0) == (f_lo > 0)):
         raise NoCrossingError(
             f"no overlap crossing for probe {probe!r} between eigenstates "
             f"{j} and {k} in [{lo:g}, {hi:g}]"
@@ -218,7 +194,7 @@ def find_crossing(
     sign = 1.0 if f_lo > 0 else -1.0
     gamma_star = _bisect(lambda gamma: sign * diff(gamma), lo, hi, 1e-10)
     if spec.M >= 100:
-        ov = overlaps(eigh(reduced_hamiltonian(spec, gamma_star)), probe_vec)
+        ov = overlaps_at(gamma_star)
         if abs(ov[j] - 0.5) > 0.1 or abs(ov[k] - 0.5) > 0.1:
             raise NoCrossingError(
                 f"sign change at gamma={gamma_star:g} is not an avoided-crossing "

@@ -79,7 +79,7 @@ def reduced_adjacency(spec: GraphSpec) -> np.ndarray:
 
 def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
     """Algebraic connectivity lambda1 and norm ||A||, from one eigensolve of
-    the 7 x 7 reduced Laplacian d I - reduced_adjacency, d = M - 1 + w.
+    the 7 x 7 reduced Laplacian d I - reduced_adjacency, d = ``spec.degree``.
 
     The class space is A-invariant and holds e_a.  The graph is
     vertex-transitive, so each eigenprojector E of A has a constant diagonal
@@ -93,9 +93,8 @@ def connectivity_and_norm(spec: GraphSpec) -> tuple[float, float]:
     the closed forms for M up to 2**53 and w from 1e-12 to 1e15; the
     difference of A's two largest eigenvalues reaches 15 eps ||A||.
     """
-    degree = spec.M - 1 + spec.w
-    lap = np.linalg.eigvalsh(degree * np.eye(7) - reduced_adjacency(spec))
-    return float(lap[1]), float(degree - lap[0])
+    lap = np.linalg.eigvalsh(spec.degree * np.eye(7) - reduced_adjacency(spec))
+    return float(lap[1]), float(spec.degree - lap[0])
 
 
 def check_generator_scale(spec: GraphSpec, gamma: float) -> None:
@@ -108,7 +107,7 @@ def check_generator_scale(spec: GraphSpec, gamma: float) -> None:
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("gamma must be finite and > 0")
-    if not math.isfinite(gamma * (spec.M - 1.0 + spec.w)):
+    if not math.isfinite(gamma * spec.degree):
         raise ValueError(
             f"gamma={gamma:g} at w={spec.w:g} overflows the search generator: "
             "gamma * ||A|| = gamma * (M - 1 + w) exceeds the float range"

@@ -110,11 +110,11 @@ def test_criterion_5_gap_formulas_at_m4000():
     for w in (1.0, 2.0, 4.0):
         spec = sw.GraphSpec(M, w)
         pred = sw.predict(spec)
-        lam1 = sw.eigh(sw.reduced_hamiltonian(spec, pred.gamma_c1)).values
+        lam1 = np.linalg.eigh(sw.reduced_hamiltonian(spec, pred.gamma_c1))[0]
         ratio1 = (lam1[1] - lam1[0]) * M**1.5 / (2 * (1 + w))
         if not 0.9 <= ratio1 <= 1.1:
             failures.append(f"stage-1 gap prefactor {ratio1:.4f} at {w=}")
-        lam2 = sw.eigh(sw.reduced_hamiltonian(spec, pred.gamma_c2)).values
+        lam2 = np.linalg.eigh(sw.reduced_hamiltonian(spec, pred.gamma_c2))[0]
         ratio2 = (lam2[3] - lam2[0]) * math.sqrt(M) / 2
         if not 0.95 <= ratio2 <= 1.05:
             failures.append(f"stage-2 gap prefactor {ratio2:.4f} at {w=}")
@@ -188,7 +188,7 @@ def test_criterion_9_property_suite(tmp_path):
         failures.append("evolution reversibility violated")
 
     for tag in ("s", "a", "b"):
-        total = sw.overlaps(sw.eigh(ham), sw.probe_state(spec, tag)).sum()
+        total = sw.overlaps(np.linalg.eigh(ham)[1], sw.probe_state(spec, tag)).sum()
         if abs(total - 1.0) > 1e-9:
             failures.append(f"eigenbasis completeness violated for probe {tag}")
 

@@ -92,6 +92,7 @@ def test_weighted_degree_exact(M, w):
     adj = build_adjacency(GraphSpec(M, w))
     assert np.array_equal(adj, adj.T)
     assert np.all(adj.sum(axis=1) == M - 1 + w)
+    assert np.all(adj.sum(axis=1) == GraphSpec(M, w).degree)
 
 
 def test_largest_adjacency_eigenvalue():

@@ -1,4 +1,4 @@
-"""Eigendecomposition contract, overlaps, sweeps, and crossing location."""
+"""Overlaps, sweeps, and crossing location."""
 
 import math
 import warnings
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from simplexwalk import (
     GraphSpec,
     NoCrossingError,
-    eigh,
     find_crossing,
     gamma_sweep,
     overlaps,
@@ -21,66 +20,13 @@ from simplexwalk import (
 )
 
 
-def test_eigh_two_by_two():
-    spectrum = eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(spectrum.values, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eigh_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        eigh(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-def test_eigh_rejects_nonfinite_entries(bad):
-    # refused as non-finite before the symmetry check, which nan would fail
-    for matrix in ([[bad]], [[0.0, bad], [bad, 0.0]], np.full((3, 2, 2), bad)):
-        with pytest.raises(ValueError, match="must be finite"):
-            eigh(matrix)
-
-
-def test_eigh_reconstruction_and_determinism():
-    ham = reduced_hamiltonian(GraphSpec(50, 2.0), 0.03)
-    s1 = eigh(ham)
-    s2 = eigh(ham.copy())
-    rebuilt = s1.vectors @ np.diag(s1.values) @ s1.vectors.T
-    scale = max(1.0, np.max(np.abs(ham)))
-    assert np.max(np.abs(ham - rebuilt)) <= 1e-9 * scale
-    assert np.array_equal(s1.values, s2.values)
-    assert np.array_equal(s1.vectors, s2.vectors)
-
-
-def test_eigh_stack_matches_each_slice_exactly():
-    spec = GraphSpec(50, 2.0)
-    stack = np.stack([reduced_hamiltonian(spec, g) for g in (0.01, 0.03, 0.06, 0.2)])
-    batched = eigh(stack)
-    assert batched.values.shape == (4, 7) and batched.vectors.shape == (4, 7, 7)
-    for k, matrix in enumerate(stack):
-        single = eigh(matrix)
-        assert np.array_equal(batched.values[k], single.values)
-        assert np.array_equal(batched.vectors[k], single.vectors)
-    with pytest.raises(ValueError):
-        eigh(stack[:, :, :6])
-    skewed = stack.copy()
-    skewed[2, 0, 1] += 1e-14
-    with pytest.raises(ValueError):
-        eigh(skewed)
-
-
-def test_eigh_sign_convention():
-    spectrum = eigh(reduced_hamiltonian(GraphSpec(12, 1.5), 0.1))
-    for k in range(7):
-        column = spectrum.vectors[:, k]
-        assert column[np.argmax(np.abs(column))] > 0
-
-
 def test_stage1_gap_value():
-    lam = eigh(reduced_hamiltonian(GraphSpec(1000, 1.0), 0.002)).values
+    lam = np.linalg.eigh(reduced_hamiltonian(GraphSpec(1000, 1.0), 0.002))[0]
     assert lam[1] - lam[0] == pytest.approx(4 / 1000**1.5, rel=2e-3)
 
 
 def test_stage2_gap_value():
-    lam = eigh(reduced_hamiltonian(GraphSpec(1000, 1.0), 0.001)).values
+    lam = np.linalg.eigh(reduced_hamiltonian(GraphSpec(1000, 1.0), 0.001))[0]
     assert lam[3] - lam[0] == pytest.approx(2 / np.sqrt(1000), rel=1e-12)
 
 
@@ -89,7 +35,7 @@ def test_stage2_gap_value():
 def test_gap_stays_open_at_stage1_crossing(M, w):
     # avoided, not actual, crossing: the split never closes
     gamma_c1 = (1 + 1 / w) / M
-    lam = eigh(reduced_hamiltonian(GraphSpec(M, w), gamma_c1)).values
+    lam = np.linalg.eigh(reduced_hamiltonian(GraphSpec(M, w), gamma_c1))[0]
     assert lam[1] - lam[0] > 0
 
 
@@ -98,15 +44,15 @@ def test_stage1_gap_scaling_exponent(w):
     sizes = np.array([250, 500, 1000, 2000, 4000])
     gaps = []
     for M in sizes:
-        lam = eigh(reduced_hamiltonian(GraphSpec(int(M), w), (1 + 1 / w) / M)).values
+        lam = np.linalg.eigh(reduced_hamiltonian(GraphSpec(int(M), w), (1 + 1 / w) / M))[0]
         gaps.append(lam[1] - lam[0])
     slope = np.polyfit(np.log(sizes), np.log(gaps), 1)[0]
     assert slope == pytest.approx(-1.5, abs=0.03)
 
 
 def test_overlap_with_own_eigenvector():
-    spectrum = eigh(reduced_hamiltonian(GraphSpec(8, 2.0), 0.2))
-    ov = overlaps(spectrum, spectrum.vectors[:, 0])
+    _, vectors = np.linalg.eigh(reduced_hamiltonian(GraphSpec(8, 2.0), 0.2))
+    ov = overlaps(vectors, vectors[:, 0])
     assert ov[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(ov[1:]) <= 1e-12
 
@@ -114,15 +60,15 @@ def test_overlap_with_own_eigenvector():
 @pytest.mark.parametrize("tag", ["s", "a", "b"])
 def test_overlap_completeness(tag):
     spec = GraphSpec(1000, 2.0)
-    spectrum = eigh(reduced_hamiltonian(spec, 0.0015))
-    assert overlaps(spectrum, probe_state(spec, tag)).sum() == pytest.approx(
+    _, vectors = np.linalg.eigh(reduced_hamiltonian(spec, 0.0015))
+    assert overlaps(vectors, probe_state(spec, tag)).sum() == pytest.approx(
         1.0, abs=1e-9
     )
 
 
 def test_initial_state_splits_half_and_half_at_stage1_crossing():
     spec = GraphSpec(1000, 1.0)
-    ov = overlaps(eigh(reduced_hamiltonian(spec, 0.002)), probe_state(spec, "s"))
+    ov = overlaps(np.linalg.eigh(reduced_hamiltonian(spec, 0.002))[1], probe_state(spec, "s"))
     assert abs(ov[0] - 0.5) < 0.1
     assert abs(ov[1] - 0.5) < 0.1
     assert ov[0] + ov[1] == pytest.approx(1.0, abs=1e-6)
@@ -130,7 +76,7 @@ def test_initial_state_splits_half_and_half_at_stage1_crossing():
 
 def test_cluster_state_splits_at_stage2_crossing():
     spec = GraphSpec(1000, 1.0)
-    ov = overlaps(eigh(reduced_hamiltonian(spec, 0.001)), probe_state(spec, "b"))
+    ov = overlaps(np.linalg.eigh(reduced_hamiltonian(spec, 0.001))[1], probe_state(spec, "b"))
     assert abs(ov[0] - 0.5) < 0.1
     assert abs(ov[3] - 0.5) < 0.1
 
@@ -155,7 +101,8 @@ def test_sweep_equals_per_gamma_loop():
     for tag in ("s", "a", "b"):
         probe = probe_state(spec, tag)
         loop = np.array(
-            [overlaps(eigh(reduced_hamiltonian(spec, g)), probe) for g in result.gammas]
+            [overlaps(np.linalg.eigh(reduced_hamiltonian(spec, g))[1], probe)
+             for g in result.gammas]
         )
         assert np.array_equal(result.curves[tag], loop)
 
@@ -168,12 +115,13 @@ def test_sweep_stack_is_the_scalar_hamiltonians_without_calling_them(
 ):
     spec = GraphSpec(M, w)
     stacks = []
+    eigh = np.linalg.eigh
 
     def capturing_eigh(matrix):
         stacks.append(matrix)
         return eigh(matrix)
 
-    monkeypatch.setattr(spectral, "eigh", capturing_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", capturing_eigh)
     monkeypatch.setattr(spectral, "reduced_hamiltonian", None)
     result = gamma_sweep(spec, gamma_range, 500)
     (stack,) = stacks
@@ -247,6 +195,46 @@ def test_find_crossing_rejects_bad_eig_pair(pair):
 def test_find_crossing_requires_sign_change():
     with pytest.raises(NoCrossingError):
         find_crossing(GraphSpec(1000, 1.0), "s", (0, 1), (0.0024, 0.003))
+
+
+def test_find_crossing_refuses_a_bracket_with_zero_at_both_ends():
+    # at w = 1e-300 the a probe has no weight on eigenstates 1 and 2 at either
+    # end, and a product test f_lo * f_hi > 0 took the two zeros for a sign
+    # change and returned the midpoint
+    with pytest.raises(NoCrossingError, match="no overlap crossing"):
+        find_crossing(GraphSpec(5, 1e-300), "a", (1, 2), (0.05, 0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    M=st.integers(3, 10**6),
+    w=st.floats(0.1, 10.0),
+    rate=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_overlaps_and_sweeps_do_not_see_eigenvector_signs(M, w, rate, seed):
+    spec = GraphSpec(M, w)
+    gamma_range = (0.5 * rate / M, 2.0 * rate / M)
+    rng = np.random.default_rng(seed)
+    eigh = np.linalg.eigh
+
+    def negating_eigh(matrix):
+        values, vectors = eigh(matrix)
+        # in place, so the array keeps the layout the solver gave it
+        vectors *= rng.choice([-1.0, 1.0], size=vectors.shape[:-2] + (1, 7))
+        return values, vectors
+
+    ham = reduced_hamiltonian(spec, gamma_range[0])
+    vectors, negated = eigh(ham)[1], negating_eigh(ham)[1]
+    for tag in spectral.PROBE_TAGS:
+        probe = probe_state(spec, tag)
+        assert overlaps(negated, probe).tobytes() == overlaps(vectors, probe).tobytes()
+    plain = gamma_sweep(spec, gamma_range, 16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", negating_eigh)
+        signed = gamma_sweep(spec, gamma_range, 16)
+    for tag in spectral.PROBE_TAGS:
+        assert signed.curves[tag].tobytes() == plain.curves[tag].tobytes()
 
 
 def _counted(f):
