@@ -8,8 +8,8 @@ SIMPLEXWALK_OUTDIR environment variable, when set, is prepended to relative
 --out paths.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.  A usage error is a
-rule of the CLI itself, an --out path that cannot be written, or an input
-that the library refuses with a ValueError, or a request too large for
+ValueError, raised by a rule of the CLI itself, an --out path that cannot be
+written or an input that the library refuses, or a request too large for
 memory; its message is printed as "error: <message>".  Each distinct
 warning a request raises is printed as one "warning: <message>" line,
 unless the request is refused.
@@ -35,10 +35,6 @@ from .dynamics import Stage
 _SWEEP_POINTS = 500
 _EVOLVE_SAMPLES = 2000
 _WIDTH_OFFSETS = 41
-
-
-class UsageError(Exception):
-    pass
 
 
 class CheckFailure(Exception):
@@ -73,6 +69,9 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
         return
+    # Path("") is the current directory, which no caller means by it
+    if not args.out:
+        raise ValueError("--out is empty: give a file path, or omit --out to write to stdout")
     out = Path(args.out)
     outdir = os.environ.get("SIMPLEXWALK_OUTDIR")
     if outdir and not out.is_absolute():
@@ -90,7 +89,7 @@ def _write_output(args: argparse.Namespace, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise UsageError(f"cannot write --out {out}: {exc.strerror}") from None
+        raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
 
 
 def _json_doc(payload: dict) -> str:
@@ -158,7 +157,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
     if spec.M > 30:
-        raise UsageError(
+        raise ValueError(
             "verify builds the full vertex space and is limited to M <= 30 "
             f"(N <= 930); got M={spec.M}"
         )
@@ -171,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     evolution_tol = _tolerance(1e-8, 10.0 * h_norm)
     # the leakage residual of a unit state never exceeds 1
     if evolution_tol >= 1:
-        raise UsageError(
+        raise ValueError(
             f"verify's evolution tolerance {_sci(evolution_tol)} at this gamma and w "
             "is not below 1, so its dynamics and leakage checks could not fail"
         )
@@ -205,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("leakage", leakage <= evolution_tol,
                    f"max out-of-subspace leakage = {leakage:.3e} (tol {_sci(evolution_tol)})"))
 
-    census = graph.edge_census(spec, graph.classify_vertices(spec))
+    census = graph.edge_census(spec)
     census_ok = census == theory.census_formulas(spec.M)
     checks.append(("census", census_ok, "edge census matches the closed forms"))
 
@@ -240,7 +239,7 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
     # the closed forms; where that is not small against lambda1, it is noise
     bound = 15 * np.finfo(float).eps * spec.degree
     if bound >= 1e-3 * lam1_closed:
-        raise UsageError(
+        raise ValueError(
             f"connectivity cannot resolve lambda1 at M={spec.M}, w={_fmt(spec.w)}: "
             f"its error bound 15 eps ||A|| = {bound:.3g} must be below 1e-3 of "
             f"lambda1 = {lam1_closed:.3g}"
@@ -262,13 +261,13 @@ def cmd_connectivity(args: argparse.Namespace) -> int:
 def cmd_width(args: argparse.Namespace) -> int:
     spec = graph.GraphSpec(args.M, args.w)
     if args.offsets < 3 or args.offsets % 2 == 0:
-        raise UsageError("offsets must be an odd integer >= 3")
+        raise ValueError("offsets must be an odd integer >= 3")
     gamma_c = dynamics.two_stage_schedule(spec)[args.stage - 1].gamma
     scale = spec.M ** -1.5
     lo = args.eps_lo if args.eps_lo is not None else 1e-3 * scale
     hi = args.eps_hi if args.eps_hi is not None else min(1e2 * scale, 0.5 * gamma_c)
     if not 0 < lo < hi < np.inf:
-        raise UsageError("epsilon range must be finite and satisfy 0 < lo < hi")
+        raise ValueError("epsilon range must be finite and satisfy 0 < lo < hi")
     per_side = (args.offsets - 1) // 2
     positive = np.logspace(np.log10(lo), np.log10(hi), per_side)
     eps_grid = np.concatenate([-positive[::-1], [0.0], positive])
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always")
         try:
             code = args.func(args)
-        except (UsageError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except MemoryError as exc:

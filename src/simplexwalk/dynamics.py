@@ -159,10 +159,10 @@ class _Propagator:
         return _contract(lam[:, None], vecs[rows], coeff[:, None],
                          times - self.boundaries[k], cols)
 
-    def amplitude_bounds(self, row: int) -> np.ndarray:
-        """Per stage, ``sum_j |V[row, j] c_j|``: by the triangle inequality no
-        amplitude of component ``row`` in that stage has a larger modulus."""
-        return np.array([np.abs(vecs[row] * coeff).sum() for _, vecs, coeff in self._spectra])
+    def amplitude_bounds(self) -> np.ndarray:
+        """Per stage, ``sum_j |V[0, j] c_j|``: by the triangle inequality no
+        marked-vertex amplitude in that stage has a larger modulus."""
+        return np.array([np.abs(vecs[0] * coeff).sum() for _, vecs, coeff in self._spectra])
 
     def pair_bounds(self, k: int, times: np.ndarray) -> np.ndarray:
         """Per time of a sorted 1-D array of global times in stage k, a bound
@@ -348,7 +348,7 @@ def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[fl
     """``peak_success`` on an already built propagator, its grid ``times``
     and the grid's ``_stage_slices``."""
     values = np.full(times.shape, -np.inf)
-    bounds = prop.amplitude_bounds(0)
+    bounds = prop.amplitude_bounds()
     best = -np.inf
     for k in np.argsort(bounds)[::-1]:
         if bounds[k] ** 2 * (1 + 1e-9) < best:
@@ -423,8 +423,7 @@ def stage_half_width(spec: GraphSpec, stage: int) -> float:
     M = 64,000.  A step below 1e-12 M^-1.5 or above 10 / sqrt(M) is refused.
     A seed that is not positive and below 10 / sqrt(M) is replaced by
     1e-3 M^-1.5, so the closed form saves work but does not decide the
-    result.  At M = 500, w = 1 that is 11 or 12 peak searches per stage,
-    where stepping up from 1e-3 M^-1.5 and bisecting took 54 or 53.
+    result.  At M = 500, w = 1 that is 11 or 12 peak searches per stage.
     """
     peak = _detuned_peak(spec, stage)
     half = peak(0.0) / 2

@@ -140,20 +140,14 @@ def classify_vertices(spec: GraphSpec) -> np.ndarray:
     return np.select(predicates, range(6), default=6)
 
 
-def edge_census(spec: GraphSpec, classes: np.ndarray) -> dict[tuple[str, str, str], int]:
-    """Count edges by the class pair they connect and their weight tier.
+def edge_census(spec: GraphSpec) -> dict[tuple[str, str, str], int]:
+    """Count edges by the class pair they connect and their weight tier,
+    with the classes of :func:`classify_vertices`.
 
-    ``classes`` is the output of :func:`classify_vertices`.  Enumerates the
-    actual edge structure (not matrix values), so the "w" and "1" tiers stay
-    distinct even when w == 1.
+    Enumerates the actual edge structure (not matrix values), so the "w" and
+    "1" tiers stay distinct even when w == 1.
     """
-    classes = np.asarray(classes)
-    if (
-        classes.shape != (spec.n_vertices,)
-        or not np.issubdtype(classes.dtype, np.integer)
-        or not np.all((classes >= 0) & (classes < len(CLASS_TAGS)))
-    ):
-        raise ValueError("classes must hold one CLASS_TAGS index per vertex")
+    classes = classify_vertices(spec)
     M = spec.M
     p, q = np.triu_indices(M, 1)
     base = M * np.arange(M + 1)[:, None]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import GraphSpec
 from .subspace import (
+    _search_generator,
     check_generator_scale,
     reduced_adjacency,
     reduced_hamiltonian,
@@ -78,8 +79,7 @@ def gamma_sweep(
         raise ValueError("points must be an integer >= 2")
     check_generator_scale(spec, hi)
     gammas = np.linspace(lo, hi, points)
-    stack = -gammas[:, None, None] * reduced_adjacency(spec)
-    stack[:, 0, 0] -= 1.0  # reduced_hamiltonian at each gamma, bit for bit
+    stack = _search_generator(reduced_adjacency(spec), gammas[:, None, None])
     _, vectors = np.linalg.eigh(stack)
     curves = {tag: overlaps(vectors, probe_state(spec, tag)) for tag in PROBE_TAGS}
     return SweepResult(gammas=gammas, curves=curves)

@@ -114,6 +114,14 @@ def check_generator_scale(spec: GraphSpec, gamma: float) -> None:
         )
 
 
+def _search_generator(adjacency: np.ndarray, gamma) -> np.ndarray:
+    """-gamma * A - |a><a|, the marked vertex first in A's basis; one per gamma
+    for a (points, 1, 1) column.  Callers check gamma by ``check_generator_scale``."""
+    ham = -gamma * adjacency
+    ham[..., 0, 0] -= 1.0
+    return ham
+
+
 def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     """Search generator -gamma * A - |a><a| in the class basis.
 
@@ -121,9 +129,7 @@ def reduced_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     therefore exactly -gamma * 0 - 1 = -1 for every gamma.
     """
     check_generator_scale(spec, gamma)
-    ham = -gamma * reduced_adjacency(spec)
-    ham[0, 0] -= 1.0
-    return ham
+    return _search_generator(reduced_adjacency(spec), gamma)
 
 
 def reduced_initial_state(spec: GraphSpec) -> np.ndarray:
@@ -141,6 +147,4 @@ def full_initial_state(spec: GraphSpec) -> np.ndarray:
 def full_hamiltonian(spec: GraphSpec, gamma: float) -> np.ndarray:
     """Search generator -gamma * A - |a><a| on the full vertex space."""
     check_generator_scale(spec, gamma)
-    ham = -gamma * build_adjacency(spec)
-    ham[0, 0] -= 1.0
-    return ham
+    return _search_generator(build_adjacency(spec), gamma)

@@ -126,7 +126,7 @@ def test_criterion_6_edge_census_tables():
     for M in range(3, 13):
         for w in (1.0, 2.5):
             spec = sw.GraphSpec(M, w)
-            census = sw.edge_census(spec, sw.classify_vertices(spec))
+            census = sw.edge_census(spec)
             if census != sw.census_formulas(M):
                 failures.append(f"census mismatch at {M=} {w=}")
     _verdict("6 edge census tables", failures)

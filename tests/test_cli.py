@@ -518,12 +518,17 @@ def test_outdir_env_override(tmp_path, capsys, monkeypatch):
     assert payload["gamma_c2"] == 0.1
 
 
-def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
     (tmp_path / "taken").write_text("")
     for out in (tmp_path, tmp_path / "taken" / "x.csv"):
         code, out_text, err = _run(capsys, "census", "--M", "5", "--out", str(out))
         _assert_refused(code, out_text, err)
         assert f"--out {out}:" in err
+    # an unset variable in --out "$OUT": not the current directory
+    monkeypatch.chdir(tmp_path)
+    code, out_text, err = _run(capsys, "census", "--M", "5", "--out", "")
+    _assert_refused(code, out_text, err)
+    assert "--out is empty" in err
     assert [p.name for p in tmp_path.rglob("*")] == ["taken"]
 
 

@@ -160,7 +160,7 @@ def test_class_size_multiset_independent_of_marked_vertex():
 
 def test_census_m5_weighted_row():
     spec = GraphSpec(5, 3.0)
-    census = edge_census(spec, classify_vertices(spec))
+    census = edge_census(spec)
     assert census[("a", "c", "w")] == 1
     assert census[("b", "e", "w")] == 4
     assert census[("d", "f", "w")] == 4
@@ -169,7 +169,7 @@ def test_census_m5_weighted_row():
 
 def test_census_m5_unit_row():
     spec = GraphSpec(5, 3.0)
-    census = edge_census(spec, classify_vertices(spec))
+    census = edge_census(spec)
     unit = {k: v for k, v in census.items() if k[2] == "1"}
     assert unit == {
         ("a", "b", "1"): 4,
@@ -186,7 +186,7 @@ def test_census_m5_unit_row():
 @pytest.mark.parametrize("M", range(3, 13))
 def test_census_sum_identities(M):
     spec = GraphSpec(M, 2.0)
-    census = edge_census(spec, classify_vertices(spec))
+    census = edge_census(spec)
     weighted = sum(v for k, v in census.items() if k[2] == "w")
     unit = sum(v for k, v in census.items() if k[2] == "1")
     assert weighted == M * (M + 1) // 2

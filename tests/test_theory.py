@@ -12,7 +12,6 @@ from simplexwalk import (
     GraphSpec,
     algebraic_connectivity_formula,
     census_formulas,
-    classify_vertices,
     connectivity_and_norm,
     edge_census,
     find_crossing,
@@ -264,7 +263,7 @@ def test_census_formulas_m10_totals():
 @pytest.mark.parametrize("M", range(3, 13))
 def test_census_formulas_match_graph_enumeration(M):
     spec = GraphSpec(M, 1.0)
-    assert edge_census(spec, classify_vertices(spec)) == census_formulas(M)
+    assert edge_census(spec) == census_formulas(M)
 
 
 def test_connectivity_formula_values():
