@@ -20,7 +20,13 @@ import numpy as np
 from . import theory
 from .graph import GraphSpec
 from .spectral import _itp
-from .subspace import check_generator_scale, reduced_hamiltonian, reduced_initial_state
+from .subspace import (
+    _search_generator,
+    check_generator_scale,
+    reduced_adjacency,
+    reduced_hamiltonian,
+    reduced_initial_state,
+)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 10_000
@@ -233,6 +239,33 @@ class _Propagator:
         return p
 
 
+def _stacked_probability(boundaries: np.ndarray, props: Sequence[_Propagator]):
+    """``_grid_max``'s evaluator of one search per propagator, all on the
+    same ``boundaries``: the marked-vertex probability of search
+    ``which[n]`` at time ``ts[n]``, for all of them in one pass.
+
+    Per search it makes ``_Propagator.probability(0)``'s operations in the
+    same order, on a leading batch axis: the stage by the inner boundaries,
+    the phase, ``exp``, the coefficient product, a (1, 7) @ (7, 1) product
+    and ``np.abs``.  The square is each scalar's ``** 2``, as there: it
+    rounds as ``pow`` does, while an array's ``** 2`` multiplies and
+    differed in the last bit of about 1 value in 1,400."""
+    inner = boundaries[1:-1]
+    # (search, stage, 7)
+    phase = -1j * np.array([[lam for lam, _, _ in prop._spectra] for prop in props])
+    vec = np.array([[vecs[0] for _, vecs, _ in prop._spectra] for prop in props])
+    coeff = np.array([[c for _, _, c in prop._spectra] for prop in props])
+
+    def p(which: list[int], ts: list[float]) -> list[float]:
+        t = np.array(ts)
+        k = np.searchsorted(inner, t, side="right")
+        evolved = np.exp(phase[which, k] * (t - boundaries[k])[:, None]) * coeff[which, k]
+        amps = (vec[which, k][:, None] @ evolved[..., None])[:, 0, 0]
+        return [a ** 2 for a in np.abs(amps)]
+
+    return p
+
+
 def _propagator(spec: GraphSpec, stages: Sequence[Stage], boundaries: np.ndarray) -> _Propagator:
     """The propagator of a validated schedule, starting from the equal
     superposition: one 7x7 eigensolve per stage."""
@@ -264,32 +297,70 @@ def run_schedule(
     )
 
 
-def _grid_max(f, times: np.ndarray, values: np.ndarray, xtol: float) -> tuple[float, float]:
-    """Maximum of f, which takes a scalar time: the best point of the sorted
-    grid ``times``, whose values the caller gives, refined by golden-section
-    search between its neighbours to xtol.  The grid point is kept when the
-    refinement ends lower.  A value may be -inf where the caller knows the
-    point cannot be the grid's maximum."""
-    i = int(np.argmax(values))
+def _golden(times: np.ndarray, i: int, value: float, xtol: float):
+    """Golden-section search for the maximum between the neighbours of grid
+    point i, as a generator: it yields each time it needs and is sent the
+    value there, and returns the refined ``(time, value)``, or the grid
+    point's when the refinement ends lower."""
     lo = times[max(i - 1, 0)]
     hi = times[min(i + 1, len(times) - 1)]
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     while hi - lo > xtol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
+            f2 = yield x2
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
+            f1 = yield x1
     mid = 0.5 * (lo + hi)
-    f_mid = f(mid)
-    if values[i] > f_mid:
-        return float(times[i]), float(values[i])
+    f_mid = yield mid
+    if value > f_mid:
+        return float(times[i]), float(value)
     return float(mid), float(f_mid)
+
+
+def _refine(p: Callable[[float], float], times: np.ndarray, i: int, value: float,
+            xtol: float) -> tuple[float, float]:
+    """One ``_golden`` search, from grid point i of value ``value``, with a
+    scalar ``p(t)`` called one time at a time."""
+    search = _golden(times, i, value, xtol)
+    t = next(search)
+    while True:
+        try:
+            t = search.send(p(t))
+        except StopIteration as done:
+            return done.value
+
+
+def _grid_max(f, grid_maxima, xtol: float) -> list[tuple[float, float]]:
+    """``_refine`` of many grid maxima in lockstep, through one stacked
+    evaluator.
+
+    Each of ``grid_maxima`` is ``(times, i, value)``, as ``_refine`` takes
+    it.  Every step advances each open ``_golden`` search by one evaluation
+    and then calls ``f(which, ts)`` once: it returns the values at the
+    times ``ts``, where ``ts[n]`` belongs to search ``which[n]``.  So each
+    search makes the evaluations it makes alone, and the evaluator one pass
+    per step for all of them."""
+    searches = [_golden(*grid_max, xtol) for grid_max in grid_maxima]
+    results: list = [None] * len(searches)
+    which = list(range(len(searches)))
+    ts = [next(search) for search in searches]
+    while which:
+        open_, next_ts = [], []
+        for b, value in zip(which, f(which, ts)):
+            try:
+                next_ts.append(searches[b].send(value))
+                open_.append(b)
+            except StopIteration as done:
+                results[b] = done.value
+        which, ts = open_, next_ts
+    return results
 
 
 def peak_success(spec: GraphSpec, schedule: Schedule) -> tuple[float, float]:
@@ -336,65 +407,94 @@ def _peak_frame(
     return stages, boundaries, times, _stage_slices(boundaries, times)
 
 
-def _evaluate(prop: _Propagator, k: int, times: np.ndarray, values: np.ndarray, cols=None) -> float:
-    """Write the marked-vertex probability of stage k at ``times[cols]``, or
-    at all ``times``, into the same places of ``values``; return the largest
-    of ``values``."""
-    values[... if cols is None else cols] = np.abs(prop.stage_amplitudes(k, times, 0, cols)) ** 2
-    return values.max(initial=-np.inf)
+def _grid_peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[int, float]:
+    """The grid phase of ``peak_success``: the index and value of the first
+    maximum over its grid ``times``, split into the ``_stage_slices``
+    ``pieces``.  Only the points that the stage and pair bounds leave are
+    evaluated."""
+    bounds = prop.amplitude_bounds()
+    best, at = -np.inf, 0
+
+    def evaluate(k, stage_times, cols=None):
+        # stage k at stage_times[cols] (sorted), or at all stage_times
+        nonlocal best, at
+        values = np.abs(prop.stage_amplitudes(k, stage_times, 0, cols)) ** 2
+        j = int(np.argmax(values))
+        value, j = values[j], pieces[k].start + (j if cols is None else int(cols[j]))
+        if value > best or (value == best and j < at):
+            best, at = value, j
+
+    for k in np.argsort(bounds)[::-1]:
+        if bounds[k] ** 2 * (1 + 1e-9) < best:
+            break
+        stage_times = times[pieces[k]]
+        if len(stage_times) >= _PAIR_CUT_POINTS:
+            caps = prop.pair_bounds(k, stage_times)
+            seeds = np.sort(np.argpartition(caps, -_PAIR_SEEDS)[-_PAIR_SEEDS:])
+            evaluate(k, stage_times, seeds)
+            caps[seeds] = -np.inf
+            cols = np.flatnonzero(caps >= best)
+            if cols.size:
+                evaluate(k, stage_times, cols)
+        elif len(stage_times):
+            evaluate(k, stage_times)
+    return at, best
 
 
 def _peak(prop: _Propagator, times: np.ndarray, pieces: list[slice]) -> tuple[float, float]:
     """``peak_success`` on an already built propagator, its grid ``times``
-    and the grid's ``_stage_slices``."""
-    values = np.full(times.shape, -np.inf)
-    bounds = prop.amplitude_bounds()
-    best = -np.inf
-    for k in np.argsort(bounds)[::-1]:
-        if bounds[k] ** 2 * (1 + 1e-9) < best:
-            break
-        stage_times, stage_values = times[pieces[k]], values[pieces[k]]
-        cols = None
-        if len(stage_times) >= _PAIR_CUT_POINTS:
-            caps = prop.pair_bounds(k, stage_times)
-            cols = np.argpartition(caps, -_PAIR_SEEDS)[-_PAIR_SEEDS:]
-            best = max(best, _evaluate(prop, k, stage_times, stage_values, cols))
-            caps[cols] = -np.inf
-            cols = np.flatnonzero(caps >= best)
-            if not cols.size:
-                continue
-        best = max(best, _evaluate(prop, k, stage_times, stage_values, cols))
-    return _grid_max(prop.probability(0), times, values, 1e-6 * prop.boundaries[-1])
+    and the grid's ``_stage_slices``: the grid phase, then one ``_refine``
+    with the scalar ``_Propagator.probability``."""
+    i, value = _grid_peak(prop, times, pieces)
+    return _refine(prop.probability(0), times, i, value, 1e-6 * prop.boundaries[-1])
 
 
-def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
-    """``peak(eps)``: the two-stage schedule's peak success probability with one
-    stage's gamma detuned by eps.
+def _detuned_frame(spec: GraphSpec, stage: int):
+    """What every peak search of the two-stage schedule with one stage's
+    gamma detuned shares: that gamma, the stage boundaries, the peak grid and
+    its stage slices, and ``propagator(detuned)``, which completes the
+    schedule's propagator from the detuned stage's eigensystem.
 
-    Only that gamma moves with eps, so the stage boundaries, the peak grid and
-    its stage slices, the start state and the other stage's eigensystem are
-    built once here; when stage 2 is detuned, so are the stage-1
-    coefficients and the stage-1 end state.  Each call then makes one 7x7
-    eigensolve, the coefficients that follow from it, and one ``_peak``."""
+    Only that gamma moves with the detuning, so the boundaries, the grid,
+    the start state and the other stage's eigensystem are built once here;
+    when stage 2 is detuned, so are the stage-1 coefficients and the
+    stage-1 end state."""
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     stages, boundaries, times, pieces = _peak_frame(spec, two_stage_schedule(spec))
-    gamma = stages[stage - 1].gamma
     fixed = np.linalg.eigh(reduced_hamiltonian(spec, stages[2 - stage].gamma))
     psi = reduced_initial_state(spec)
     if stage == 2:
         head = _chain([fixed], stages[:1], psi)
         psi = _contract(*head[0], stages[0].duration)
 
-    def peak(eps: float) -> float:
-        if gamma + eps <= 0:
-            raise ValueError(f"offset {eps} drives gamma nonpositive")
-        detuned = np.linalg.eigh(reduced_hamiltonian(spec, gamma + eps))
+    def propagator(detuned) -> _Propagator:
         if stage == 1:
-            spectra = _chain([detuned, fixed], stages, psi)
-        else:
-            spectra = head + _chain([detuned], stages[1:], psi)
-        return _peak(_Propagator(boundaries, spectra), times, pieces)[1]
+            return _Propagator(boundaries, _chain([detuned, fixed], stages, psi))
+        return _Propagator(boundaries, head + _chain([detuned], stages[1:], psi))
+
+    return stages[stage - 1].gamma, boundaries, times, pieces, propagator
+
+
+def _detuned_gamma(spec: GraphSpec, gamma: float, eps: float) -> float:
+    """gamma + eps, refused first if it is not positive, then as
+    ``check_generator_scale`` refuses it."""
+    if gamma + eps <= 0:
+        raise ValueError(f"offset {eps} drives gamma nonpositive")
+    check_generator_scale(spec, gamma + eps)
+    return gamma + eps
+
+
+def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
+    """``peak(eps)``: the two-stage schedule's peak success probability with one
+    stage's gamma detuned by eps, on one ``_detuned_frame``.  Each call
+    makes one 7x7 eigensolve, the coefficients that follow from it, and one
+    ``_peak``."""
+    gamma, _, times, pieces, propagator = _detuned_frame(spec, stage)
+
+    def peak(eps: float) -> float:
+        detuned = np.linalg.eigh(reduced_hamiltonian(spec, _detuned_gamma(spec, gamma, eps)))
+        return _peak(propagator(detuned), times, pieces)[1]
 
     return peak
 
@@ -402,9 +502,22 @@ def _detuned_peak(spec: GraphSpec, stage: int) -> Callable[[float], float]:
 def width_scan(spec: GraphSpec, stage: int, offsets: Sequence[float]) -> np.ndarray:
     """Peak success probability of the two-stage schedule as one stage's gamma
     is detuned by each offset; the other stage stays at its critical value
-    and is diagonalised once for the whole scan."""
-    peak = _detuned_peak(spec, stage)
-    return np.array([peak(eps) for eps in np.asarray(offsets, dtype=float)])
+    and is diagonalised once for the whole scan.
+
+    The offsets run as one batch on one ``_detuned_frame``.  Every detuned
+    gamma is checked first, in offset order.  Their generators are one
+    (offsets, 7, 7) stack, diagonalised by one ``np.linalg.eigh``, which
+    gives each matrix what a call of its own gives it.  Each offset has its
+    own grid phase (``_grid_peak``), and ``_grid_max`` refines all the grid
+    maxima in lockstep through one ``_stacked_probability``.  Each peak is
+    bit for bit that of ``peak_success`` on its detuned schedule."""
+    gamma, boundaries, times, pieces, propagator = _detuned_frame(spec, stage)
+    gammas = np.array([_detuned_gamma(spec, gamma, eps) for eps in np.asarray(offsets, dtype=float)])
+    lams, vecs = np.linalg.eigh(_search_generator(reduced_adjacency(spec), gammas[:, None, None]))
+    props = [propagator(detuned) for detuned in zip(lams, vecs)]
+    grid_maxima = [(times, *_grid_peak(prop, times, pieces)) for prop in props]
+    peaks = _grid_max(_stacked_probability(boundaries, props), grid_maxima, 1e-6 * boundaries[-1])
+    return np.array([p for _, p in peaks])
 
 
 def stage_half_width(spec: GraphSpec, stage: int) -> float:
@@ -460,5 +573,6 @@ def optimal_stage1_duration(spec: GraphSpec) -> tuple[float, float]:
     window = 1.6 * t1
     prop = _propagator(spec, *_validate_schedule(spec, [Stage(gamma, window)]))
     times = np.linspace(0.0, window, 20_001)
-    return _grid_max(prop.probability(1), times, np.abs(prop.amplitudes(times, 1)) ** 2,
-                     1e-9 * t1)
+    values = np.abs(prop.amplitudes(times, 1)) ** 2
+    i = int(np.argmax(values))
+    return _refine(prop.probability(1), times, i, values[i], 1e-9 * t1)

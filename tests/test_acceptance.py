@@ -209,3 +209,44 @@ def test_criterion_9_property_suite(tmp_path):
             failures.append(f"{name} output not byte-identical across runs")
 
     _verdict("9 property suite", failures)
+
+
+def test_criterion_10_search_time_near_sqrt_n():
+    # The paper's headline: with w = M^alpha the search time falls from
+    # N^(3/4) toward N^((1.5 - alpha)/2), nearly sqrt(N) as alpha nears 1/2,
+    # once stage 1 runs at the adjusted rate gamma_c1_exact.  The schedules
+    # are built from theory, so this holds whatever two_stage_schedule uses.
+    failures = []
+    sizes = [1000, 4000, 16000, 64000, 256000]
+
+    def peaks(alpha, adjusted):
+        times, probs, n = [], [], []
+        for M in sizes:
+            spec = sw.GraphSpec(M, M**alpha)
+            pred = sw.predict(spec)
+            gamma1 = sw.gamma_c1_exact(spec) if adjusted else pred.gamma_c1
+            t_peak, p_peak = sw.peak_success(
+                spec, [sw.Stage(gamma1, pred.t1), sw.Stage(pred.gamma_c2, pred.t2)]
+            )
+            times.append(t_peak)
+            probs.append(p_peak)
+            n.append(spec.n_vertices)
+        return np.polyfit(np.log(n), np.log(times), 1)[0], probs
+
+    for alpha, floor in ((0.25, 0.96), (0.4, 0.74)):
+        slope, probs = peaks(alpha, adjusted=True)
+        if abs(slope - (1.5 - alpha) / 2) > 0.02:
+            failures.append(f"search-time exponent {slope:.4f} at {alpha=} not "
+                            f"{(1.5 - alpha) / 2} +- 0.02")
+        if not np.all(np.diff(probs) > 0):
+            failures.append(f"adjusted peaks {probs} at {alpha=} do not rise with M")
+        if min(probs) < floor:
+            failures.append(f"adjusted peak {min(probs):.4f} at {alpha=} below {floor}")
+        if alpha == 0.4:
+            _, leading = peaks(alpha, adjusted=False)
+            if not np.all(np.diff(leading) < 0):
+                failures.append(f"leading-order peaks {leading} at {alpha=} do not fall with M")
+            if not probs[-1] > 1000 * leading[-1]:
+                failures.append(f"adjusted peak {probs[-1]:.4g} not over 1000 times the "
+                                f"leading-order {leading[-1]:.4g} at M={sizes[-1]}")
+    _verdict("10 search time near sqrt(N)", failures)

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexwalk import (
     GraphSpec,
@@ -22,6 +24,7 @@ from simplexwalk import (
     two_stage_schedule,
     width_scan,
 )
+from simplexwalk.subspace import _search_generator, reduced_adjacency
 
 
 def _ham_and_state(M=1000, w=1.0, gamma=0.002):
@@ -241,7 +244,9 @@ def _full_grid_peak(spec, schedule):
         return np.abs(dynamics._contract(lam, vecs[0], coeff, t - prop.boundaries[k])) ** 2
 
     values = np.abs(prop.amplitudes(times, 0)) ** 2
-    return dynamics._grid_max(prob, times, values, 1e-6 * total)
+    i = int(np.argmax(values))
+    return dynamics._grid_max(lambda _, ts: [prob(t) for t in ts], [(times, i, values[i])],
+                              1e-6 * total)[0]
 
 
 @pytest.mark.parametrize("row", [0, 1])
@@ -490,7 +495,8 @@ def test_width_scan_diagonalises_the_fixed_stage_once(monkeypatch, stage):
     spec = GraphSpec(500, 1.0)
     offsets = np.linspace(-1e-5, 1e-5, 21)
     peaks = width_scan(spec, stage, offsets)
-    assert [m.shape for m, in calls] == [(7, 7)] * 22
+    # the fixed stage once, then the 21 detuned generators as one stack
+    assert [m.shape for m, in calls] == [(7, 7), (21, 7, 7)]
     assert len(frames) == 1
     for eps, p in zip(offsets[::5], peaks[::5]):
         schedule = two_stage_schedule(spec)
@@ -540,9 +546,72 @@ def test_detuned_scans_equal_fresh_peak_searches(monkeypatch):
     assert stage1_peaks >= 6
 
 
-def test_width_scan_rejects_bad_stage():
+@pytest.mark.parametrize("stage", [1, 2])
+def test_stacked_probability_equals_the_scalar_probability(stage):
+    # width_scan's lockstep refinement evaluates all its searches through
+    # one stacked pass; each value must be bit for bit the scalar
+    # evaluator's.  An array's ** 2 in place of each scalar's differed in
+    # about 1 value of 1,400 here.
+    rng = np.random.default_rng(27)
+    spec = GraphSpec(211, 3.0)
+    gamma, boundaries, _, _, propagator = dynamics._detuned_frame(spec, stage)
+    props = [propagator(np.linalg.eigh(reduced_hamiltonian(spec, gamma * (1 + eps))))
+             for eps in (-0.3, -1e-3, 0.0, 2e-4, 0.05, 4.0)]
+    stacked = dynamics._stacked_probability(boundaries, props)
+    scalar = [prop.probability(0) for prop in props]
+    for _ in range(200):
+        which = rng.integers(len(props), size=30).tolist()
+        ts = [*rng.uniform(-1.0, 1.01 * boundaries[-1], size=28), *boundaries[1:]]
+        assert stacked(which, ts) == [scalar[b](t) for b, t in zip(which, ts)]
+
+
+def test_grid_peak_keeps_the_first_of_equal_grid_values():
+    # a constant probability (every eigenvalue 0): every grid point ties, and
+    # the grid phase must keep the first, as an argmax over the whole grid
+    # does, also through the pair cut of the 9,000-point first stage
+    stages, boundaries, times, pieces = dynamics._peak_frame(GraphSpec(20, 1.0),
+                                                             [(1.0, 9.0), (1.0, 1.0)])
+    coeff = np.linspace(0.1, 0.7, 7).astype(complex)
+    prop = dynamics._Propagator(boundaries, [(np.zeros(7), np.eye(7), coeff)] * 2)
+    values = np.abs(prop.amplitudes(times, 0)) ** 2
+    assert (values == values[0]).all() and len(times[pieces[0]]) >= dynamics._PAIR_CUT_POINTS
+    assert dynamics._grid_peak(prop, times, pieces) == (0, values[0])
+
+
+def test_width_scan_rejects_bad_stage(monkeypatch):
     with pytest.raises(ValueError):
         width_scan(GraphSpec(500, 1.0), 3, [0.0])
+    # each detuned gamma is refused in offset order, before the detuned stack
+    # is diagonalised: only the fixed stage's eigensolve has run
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    with pytest.raises(ValueError, match="offset -1.0 drives gamma nonpositive"):
+        width_scan(GraphSpec(50, 1.0), 1, [1e-6, 2e-6, -1.0])
+    with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+        width_scan(GraphSpec(50, 1.0), 1, [1e-6, math.nan])
+    assert [m.shape for m, in calls] == [(7, 7)] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    M=st.integers(3, 10**6),
+    w=st.floats(0.1, 10.0),
+    rate=st.floats(0.5, 3.0),
+    detunings=st.lists(st.floats(-0.9, 9.0), min_size=1, max_size=41),
+)
+def test_stacked_eigensolve_equals_one_solve_per_gamma(M, w, rate, detunings):
+    # width_scan diagonalises its detuned generators as one stack: each
+    # eigensystem must be bit for bit what a solve of its own gives.  Both
+    # critical rates are near 1/M to 2/M.
+    spec = GraphSpec(M, w)
+    gammas = rate / M * (1.0 + np.array(detunings))
+    stack = _search_generator(reduced_adjacency(spec), gammas[:, None, None])
+    lams, vecs = np.linalg.eigh(stack)
+    for gamma, matrix, lam, vec in zip(gammas, stack, lams, vecs):
+        alone = reduced_hamiltonian(spec, gamma)
+        assert matrix.tobytes() == alone.tobytes()
+        lam_alone, vec_alone = np.linalg.eigh(alone)
+        assert lam.tobytes() == lam_alone.tobytes()
+        assert vec.tobytes() == vec_alone.tobytes()
 
 
 @pytest.mark.parametrize("stage, searches", [(1, 11), (2, 12)])
